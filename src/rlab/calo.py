@@ -299,6 +299,10 @@ def load_dataset(path: str) -> Dataset:
         meta = json.loads(payload[4:meta_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DatasetFormatError(f"{path}: bad provenance block: {e}") from None
+    if not isinstance(meta, dict) or "generator" not in meta:
+        raise DatasetFormatError(f"{path}: provenance block has no generator config")
+    if meta_end + 8 > len(payload):
+        raise DatasetFormatError(f"{path}: event count lies past the payload end")
     (count,) = struct.unpack_from("<Q", payload, meta_end)
     body = payload[meta_end + 8:]
     expected = count * _EVENT_WIDTH * 8

@@ -25,12 +25,11 @@ from .errors import ConfigError, ContractError, DatasetFormatError
 from .nn import (ModelSpec, SearchSpace, TARGETS, enumerate_search_space,
                  preset_spec, reference_search_space)
 from .robustness import (
+    STAT_KEYS,
     BaselineGatePolicy,
     HalvingPolicy,
     SelectionCriterion,
-    boxplot_stats,
-    ecdf,
-    robustness_statistic,
+    criterion_study,
     run_instances,
     sample_size_sweep,
     select_models,
@@ -92,8 +91,9 @@ def _stop_from(body: dict) -> EarlyStopConfig:
     return EarlyStopConfig.from_dict(body["stop"]) if "stop" in body else EarlyStopConfig()
 
 
-def _criterion_from(body: dict) -> SelectionCriterion:
-    d = body.get("criterion", {})
+def _criterion_from(d: dict) -> SelectionCriterion:
+    if not isinstance(d, dict):
+        raise ConfigError(f"a criterion must be a mapping, got {d!r}")
     crit = SelectionCriterion(kind=d.get("kind", "mean"), quantile=d.get("quantile"))
     crit.validate()
     return crit
@@ -204,16 +204,16 @@ def cmd_robustness(body: dict, out_dir: str, seed_override: int | None, workers:
             for p, loss in zip(record.provenance, record.losses)
         ],
     )
+    stats = summary_statistics(record.losses)
     _write_csv(
         os.path.join(out_dir, "box.csv"),
         ["count"] + BOX_COLUMNS,
-        [[len(record.losses)] + _box_row(boxplot_stats(record.losses))],
+        [[stats["n"]] + _box_row(stats)],
     )
-    stats = record.statistics()
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(f"spec {record.spec_name} ({record.spec_id}), mode {record.mode}, "
                  f"k={len(record.losses)}, sample_size={record.sample_size}\n")
-        for key in ("mean", "median", "min", "max", "std", "q1", "q3", "iqr"):
+        for key in STAT_KEYS:
             fh.write(f"{key}: {stats[key]!r}\n")
     print(f"{record.spec_name}: {len(record.losses)} instances, "
           f"median loss {stats['median']!r}")
@@ -304,7 +304,7 @@ def cmd_select(body: dict, out_dir: str, seed_override: int | None, workers: int
     base_seed = seed_override if seed_override is not None else int(body.get("base_seed", 0))
     winners, ledger = select_models(
         specs,
-        criterion=_criterion_from(body),
+        criterion=_criterion_from(body.get("criterion", {})),
         k=k,
         policy=_policy_from(body),
         trainer=_trainer_from(body, workers),
@@ -355,47 +355,46 @@ def cmd_sweep(body: dict, out_dir: str, seed_override: int | None, workers: int)
         [{"n": row["n"], "losses": row["losses"]} for row in rows],
     )
     print(f"{spec.name}: swept {len(rows)} sample sizes")
-    all_losses = [v for row in rows for v in row["losses"]]
-    return EXIT_DIVERGED if all_losses and all(math.isinf(v) for v in all_losses) else EXIT_OK
+    return EXIT_DIVERGED if rows and all(math.isinf(r["box"]["min"]) for r in rows) else EXIT_OK
 
 
 def cmd_report(body: dict, out_dir: str, seed_override: int | None, workers: int) -> int:
     path = _require(body, "records")
+    rows = []       # (spec_id, losses, summary statistics); all are checked before any output
     with open(path) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    if not records:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                rows.append((str(rec["spec_id"]), rec["losses"],
+                             summary_statistics(rec["losses"])))
+            except (ValueError, KeyError, TypeError) as e:     # JSON, keys or losses
+                raise DatasetFormatError(f"{path} line {number}: bad record: {e!r}") from None
+    if not rows:
         raise DatasetFormatError(f"{path}: no records")
-    criteria = []
-    for d in body.get("criteria", [{"kind": k} for k in ("mean", "median", "min", "max", "std")]):
-        crit = SelectionCriterion(kind=d.get("kind", "mean"), quantile=d.get("quantile"))
-        crit.validate()
-        criteria.append(crit)
-
-    stat_rows = []
-    for rec in records:
-        s = summary_statistics(rec["losses"])
-        stat_rows.append([rec["spec_id"], len(rec["losses"]), s["mean"], s["median"],
-                          s["min"], s["max"], s["std"], s["q1"], s["q3"], s["iqr"]])
+    criteria = [_criterion_from(d) for d in body.get(
+        "criteria", [{"kind": k} for k in ("mean", "median", "min", "max", "std")])]
     _write_csv(
         os.path.join(out_dir, "stats.csv"),
-        ["spec_id", "n", "mean", "median", "min", "max", "std", "q1", "q3", "iqr"],
-        stat_rows,
+        ["spec_id", "n", *STAT_KEYS],
+        [[spec_id, s["n"], *(s[key] for key in STAT_KEYS)] for spec_id, _, s in rows],
     )
+    ids = [spec_id for spec_id, _, _ in rows]
     lines = []
-    for crit in criteria:
-        values = [robustness_statistic(rec["losses"], crit) for rec in records]
-        xs, fs = ecdf(values)
-        label = crit.label().replace("(", "_").replace(")", "").replace(".", "p")
+    for label, (values, xs, fs) in criterion_study([losses for _, losses, _ in rows],
+                                                   criteria).items():
+        name = label.replace("(", "_").replace(")", "").replace(".", "p")
         _write_csv(
-            os.path.join(out_dir, f"ecdf_{label}.csv"),
+            os.path.join(out_dir, f"ecdf_{name}.csv"),
             ["value", "fraction"],
             [[float(x), float(f)] for x, f in zip(xs, fs)],
         )
-        best = min(zip(values, (rec["spec_id"] for rec in records)))
-        lines.append(f"{crit.label()}: best spec {best[1]} at {best[0]!r}")
+        best = min(zip(values, ids))
+        lines.append(f"{label}: best spec {best[1]} at {best[0]!r}")
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"reported {len(records)} records across {len(criteria)} criteria")
+    print(f"reported {len(rows)} records across {len(criteria)} criteria")
     return EXIT_OK
 
 

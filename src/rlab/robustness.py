@@ -22,54 +22,39 @@ from .nn import ModelSpec
 from .seeding import substream_seed
 from .training import EarlyStopConfig, TrainedInstance, train_instance
 
-STATISTIC_KINDS = ("mean", "median", "min", "max", "std", "quantile")
-
 RANDOMIZATION_MODES = ("fixed_data_random_init", "random_data_fixed_init", "both_random")
 
-
-@dataclass(frozen=True)
-class SelectionCriterion:
-    """Which statistic of the instance losses ranks a model; lower is better."""
-
-    kind: str = "mean"
-    quantile: float | None = None
-
-    def validate(self) -> None:
-        if self.kind not in STATISTIC_KINDS:
-            raise ContractError(f"unknown statistic {self.kind!r}")
-        if self.kind == "quantile":
-            if self.quantile is None or not 0.0 < self.quantile < 1.0:
-                raise ContractError("quantile criterion needs p strictly inside (0, 1)")
-        elif self.quantile is not None:
-            raise ContractError(f"{self.kind} takes no quantile parameter")
-
-    def label(self) -> str:
-        return f"quantile({self.quantile})" if self.kind == "quantile" else self.kind
-
-    def evaluate(self, losses: Sequence[float]) -> float:
-        return robustness_statistic(losses, self)
+# the statistics a robustness record carries, in report column order
+STAT_KEYS = ("mean", "median", "min", "max", "std", "q1", "q3", "iqr")
 
 
-def robustness_statistic(losses: Sequence[float], criterion: SelectionCriterion) -> float:
-    """One summary number for a loss multiset; +inf entries propagate."""
-    criterion.validate()
+def _checked(losses: Sequence[float]) -> np.ndarray:
+    """The losses as a float64 array; each must be real or +inf."""
     arr = np.asarray(losses, dtype=np.float64)
-    if arr.size == 0:
-        raise ContractError("cannot summarize an empty loss set")
-    if np.any(np.isnan(arr)):
-        raise ContractError("losses must be real or +inf, got NaN")
-    kind = criterion.kind
-    if kind == "mean":
-        return float(arr.mean())
-    if kind == "median":
-        return float(np.median(arr))
-    if kind == "min":
-        return float(arr.min())
-    if kind == "max":
-        return float(arr.max())
-    if kind == "std":
-        return _exact_std(arr)
-    return float(np.quantile(arr, criterion.quantile))
+    if arr.ndim != 1 or arr.size == 0:
+        raise ContractError(f"need a non-empty flat list of losses, got shape {arr.shape}")
+    if not (arr > -math.inf).all():
+        raise ContractError("losses must be real or +inf, got NaN or -inf")
+    return arr
+
+
+def _quantiles(arr: np.ndarray, ps: Sequence[float]) -> np.ndarray:
+    """np.quantile (linear) of checked losses at each p, bit for bit on finite input.
+
+    Next to a diverged (+inf) entry numpy's interpolation computes inf * 0 or
+    inf - inf and returns NaN.  There the result is the entry itself when the
+    position lands exactly on an order statistic, and +inf when an +inf
+    neighbour has nonzero weight.
+    """
+    ps = np.asarray(ps, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        q = np.quantile(arr, ps)
+    bad = np.isnan(q)
+    if bad.any():
+        pos = (arr.size - 1) * ps[bad]      # numpy's position for the linear method
+        below = np.floor(pos)
+        q[bad] = np.where(pos == below, np.sort(arr)[below.astype(np.intp)], math.inf)
+    return q
 
 
 def _exact_std(arr: np.ndarray) -> float:
@@ -82,50 +67,58 @@ def _exact_std(arr: np.ndarray) -> float:
     return float(arr.std())
 
 
+# criterion kind -> reducer(losses, quantile p); median stays on np.median, the
+# faster call on the tournament's hot path
+_REDUCERS: dict[str, Callable[[np.ndarray, float | None], float]] = {
+    "mean": lambda arr, _: arr.mean(),
+    "median": lambda arr, _: np.median(arr),
+    "min": lambda arr, _: arr.min(),
+    "max": lambda arr, _: arr.max(),
+    "std": lambda arr, _: _exact_std(arr),
+    "quantile": lambda arr, p: _quantiles(arr, (p,))[0],
+}
+
+
+@dataclass(frozen=True)
+class SelectionCriterion:
+    """Which statistic of the instance losses ranks a model; lower is better."""
+
+    kind: str = "mean"
+    quantile: float | None = None
+
+    def validate(self) -> None:
+        if self.kind not in _REDUCERS:
+            raise ContractError(f"unknown statistic {self.kind!r}")
+        if self.kind == "quantile":
+            if self.quantile is None or not 0.0 < self.quantile < 1.0:
+                raise ContractError("quantile criterion needs p strictly inside (0, 1)")
+        elif self.quantile is not None:
+            raise ContractError(f"{self.kind} takes no quantile parameter")
+
+    def label(self) -> str:
+        return f"quantile({self.quantile})" if self.kind == "quantile" else self.kind
+
+
+def robustness_statistic(losses: Sequence[float], criterion: SelectionCriterion) -> float:
+    """One summary number for a loss multiset; +inf entries propagate."""
+    criterion.validate()
+    return float(_REDUCERS[criterion.kind](_checked(losses), criterion.quantile))
+
+
 def summary_statistics(losses: Sequence[float]) -> dict:
-    arr = np.asarray(losses, dtype=np.float64)
-    if arr.size == 0:
-        raise ContractError("cannot summarize an empty loss set")
-    with np.errstate(invalid="ignore"):     # all-inf sets hit inf - inf
-        q1, med, q3 = (float(v) for v in np.quantile(arr, [0.25, 0.5, 0.75]))
-    iqr = q3 - q1
-    if math.isnan(iqr):
-        iqr = 0.0     # q1 == q3 == inf: zero spread among equal entries
-    return {
-        "mean": float(arr.mean()),
-        "median": med,
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "std": _exact_std(arr),
-        "q1": q1,
-        "q3": q3,
-        "iqr": iqr,
-    }
-
-
-def boxplot_stats(losses: Sequence[float]) -> dict:
-    """Quartiles plus whiskers at the most extreme points within 1.5 IQR."""
-    arr = np.asarray(losses, dtype=np.float64)
-    if arr.size == 0:
-        raise ContractError("cannot summarize an empty loss set")
-    with np.errstate(invalid="ignore"):     # all-inf sets hit inf - inf
-        q1, med, q3 = (float(v) for v in np.quantile(arr, [0.25, 0.5, 0.75]))
-        reach = 1.5 * (q3 - q1)
-        inside = arr[(arr >= q1 - reach) & (arr <= q3 + reach)]
-    whisker_lo = float(inside.min()) if inside.size else q1
-    whisker_hi = float(inside.max()) if inside.size else q3
-    outliers = arr[(arr < whisker_lo) | (arr > whisker_hi)]
-    return {
-        "n": int(arr.size),
-        "min": float(arr.min()),
-        "q1": q1,
-        "median": med,
-        "q3": q3,
-        "max": float(arr.max()),
-        "whisker_lo": whisker_lo,
-        "whisker_hi": whisker_hi,
-        "outliers": [float(v) for v in outliers],
-    }
+    """n, moments, quartiles and IQR, plus box-plot whiskers at the most extreme
+    points within 1.5 IQR of the quartiles and the outliers beyond them."""
+    arr = _checked(losses)
+    q1, median, q3 = (float(v) for v in _quantiles(arr, (0.25, 0.5, 0.75)))
+    iqr = q3 - q1 if q3 != q1 else 0.0      # q1 == q3 == inf: zero spread, not NaN
+    reach = 1.5 * iqr
+    inside = arr[(arr >= q1 - reach) & (arr <= q3 + reach)]
+    lo, hi = float(inside.min()), float(inside.max())
+    summary = {key: float(_REDUCERS[key](arr, None)) for key in ("mean", "min", "max", "std")}
+    summary.update(n=int(arr.size), median=median, q1=q1, q3=q3, iqr=iqr,
+                   whisker_lo=lo, whisker_hi=hi,
+                   outliers=[float(v) for v in arr[(arr < lo) | (arr > hi)]])
+    return summary
 
 
 @dataclass
@@ -139,13 +132,12 @@ class RobustnessRecord:
     base_seed: int
     _losses: list[float] = field(default_factory=list)
     provenance: list[dict] = field(default_factory=list)
-    instances: list[TrainedInstance] | None = None
 
     @property
     def losses(self) -> tuple[float, ...]:
         return tuple(self._losses)
 
-    def add(self, instance: TrainedInstance, keep_instance: bool = False) -> None:
+    def add(self, instance: TrainedInstance) -> None:
         self._losses.append(instance.final_test_loss)
         self.provenance.append(
             {
@@ -156,13 +148,10 @@ class RobustnessRecord:
                 "diverged": instance.diverged,
             }
         )
-        if keep_instance:
-            if self.instances is None:
-                self.instances = []
-            self.instances.append(instance)
 
     def statistics(self) -> dict:
-        return summary_statistics(self._losses)
+        summary = summary_statistics(self._losses)
+        return {key: summary[key] for key in STAT_KEYS}
 
     def statistic(self, criterion: SelectionCriterion) -> float:
         return robustness_statistic(self._losses, criterion)
@@ -181,17 +170,17 @@ class RobustnessRecord:
 
 
 def _train_task(args: tuple) -> TrainedInstance:
-    spec, pool, test_set, size, data_seed, init_seed, stop, keep = args
+    spec, pool, test_set, size, data_seed, init_seed, stop = args
     train_set = bootstrap_sample(pool, size, seed=data_seed)
     return train_instance(spec, train_set, test_set, init_seed,
-                          stop=stop, data_seed=data_seed, keep_weights=keep)
+                          stop=stop, data_seed=data_seed)
 
 
 def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
                   mode: str = "both_random", base_seed: int = 0,
                   sample_size: int | None = None,
                   stop: EarlyStopConfig | None = None,
-                  keep_instances: bool = False, workers: int = 1) -> RobustnessRecord:
+                  workers: int = 1) -> RobustnessRecord:
     """Train k instances of one spec under the chosen randomization mode.
 
     Seeds come from per-instance substreams of base_seed; the fixed side of a
@@ -216,7 +205,7 @@ def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
             spec, pool, test_set, size,
             substream_seed(base_seed, "data", data_index),
             substream_seed(base_seed, "init", init_index),
-            stop, keep_instances,
+            stop,
         ))
     if workers > 1 and k > 1:
         import multiprocessing
@@ -226,7 +215,7 @@ def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
     else:
         instances = [_train_task(t) for t in tasks]
     for inst in instances:
-        record.add(inst, keep_instance=keep_instances)
+        record.add(inst)
     return record
 
 
@@ -352,7 +341,7 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
             losses[pos].append(float(trainer(specs[pos], round_index, seed)))
             ledger.instance_counts[ids[pos]] += 1
             ledger.cumulative_trainings += 1
-        scores = [criterion.evaluate(losses[pos]) for pos in survivors]
+        scores = [robustness_statistic(losses[pos], criterion) for pos in survivors]
         removal_positions = set(policy.removals(round_index, scores))
         rolled_back = len(removal_positions) >= len(survivors)
         if rolled_back:
@@ -387,16 +376,18 @@ def ecdf(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     return v, np.arange(1, v.size + 1) / v.size
 
 
-def criterion_study(records: Sequence[RobustnessRecord],
-                    criteria: Sequence[SelectionCriterion]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per criterion, the ECDF of per-model statistic values: how stringent
-    each ranking statistic is over the same model population."""
-    if not records:
+def criterion_study(loss_sets: Sequence[Sequence[float]],
+                    criteria: Sequence[SelectionCriterion],
+                    ) -> dict[str, tuple[list[float], np.ndarray, np.ndarray]]:
+    """Per criterion label: each model's statistic value, in input order, and
+    the ECDF of those values, showing how stringent each ranking statistic is
+    over the same model population."""
+    if not loss_sets:
         raise ContractError("no records to study")
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    out = {}
     for crit in criteria:
-        values = [rec.statistic(crit) for rec in records]
-        out[crit.label()] = ecdf(values)
+        values = [robustness_statistic(losses, crit) for losses in loss_sets]
+        out[crit.label()] = (values, *ecdf(values))
     return out
 
 
@@ -406,7 +397,7 @@ def sample_size_sweep(spec: ModelSpec, indices: Sequence[int], k: int,
                       sizes: Sequence[int] | None = None, workers: int = 1) -> list[dict]:
     """Loss spread versus training-set size, test sets matched in size.
 
-    Rows carry the raw losses and boxplot statistics, ready for tabulation.
+    Rows carry the raw losses and their summary statistics, ready for tabulation.
     `sizes` overrides the schedule lookup when given (desk-scale runs).
     """
     from .calo import sample_size_schedule
@@ -424,6 +415,6 @@ def sample_size_sweep(spec: ModelSpec, indices: Sequence[int], k: int,
         rows.append({
             "n": int(n),
             "losses": list(record.losses),
-            "box": boxplot_stats(record.losses),
+            "box": summary_statistics(record.losses),
         })
     return rows

@@ -254,6 +254,42 @@ class TestFileFormat:
         with pytest.raises(DatasetFormatError, match="checksum"):
             load_dataset(path)
 
+    @staticmethod
+    def rewrite_payload(path, edit):
+        """Replace the file's payload by edit(payload) and recompute its CRC,
+        so that the loader gets past the checksum to the field checks."""
+        import struct, zlib
+        raw = open(path, "rb").read()
+        payload = edit(raw[6:-4])
+        open(path, "wb").write(raw[:6] + payload + struct.pack("<I", zlib.crc32(payload)))
+
+    def test_count_field_past_payload_end(self, tmp_path):
+        import struct
+        ds = generate_dataset(GeneratorConfig(), 4, seed=45)
+        path = str(tmp_path / "short.rlab")
+        save_dataset(ds, path)
+
+        def drop_count(payload):
+            (blob_len,) = struct.unpack_from("<I", payload, 0)
+            return payload[:4 + blob_len] + b"\x00" * 3   # 3 of the count's 8 bytes
+        self.rewrite_payload(path, drop_count)
+        with pytest.raises(DatasetFormatError, match="count"):
+            load_dataset(path)
+
+    def test_missing_generator_key(self, tmp_path):
+        import json, struct
+        ds = generate_dataset(GeneratorConfig(), 4, seed=46)
+        path = str(tmp_path / "anon.rlab")
+        save_dataset(ds, path)
+
+        def drop_generator(payload):
+            (blob_len,) = struct.unpack_from("<I", payload, 0)
+            blob = json.dumps({"seed": 46}).encode()
+            return struct.pack("<I", len(blob)) + blob + payload[4 + blob_len:]
+        self.rewrite_payload(path, drop_generator)
+        with pytest.raises(DatasetFormatError, match="generator"):
+            load_dataset(path)
+
     def test_csv_export(self, tmp_path):
         ds = generate_dataset(GeneratorConfig(), 3, seed=44)
         path = str(tmp_path / "d.csv")

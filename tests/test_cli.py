@@ -350,6 +350,68 @@ class TestReport:
         assert (out / "ecdf_max.csv").exists()
         assert "best spec" in (out / "summary.txt").read_text()
 
+    def test_report_bytes_pinned(self, tmp_path):
+        # rows of the finite specs a and b are the output of the earlier
+        # statistics code; spec c has one diverged (+inf) instance
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            '{"spec_id": "a", "losses": [0.61, 0.47, 0.83, 0.52, 2.9, 0.58]}\n'
+            '{"spec_id": "b", "losses": [0.44, 0.71, 0.39]}\n'
+            '{"spec_id": "c", "losses": [0.2, 0.3, 0.4, 0.5, Infinity]}\n'
+        )
+        cfg = write_config(
+            tmp_path / "rep.yaml",
+            {"command": "report", "records": str(records),
+             "criteria": [{"kind": "mean"}, {"kind": "median"}, {"kind": "max"},
+                          {"kind": "std"}, {"kind": "quantile", "quantile": 0.75}]},
+        )
+        out = tmp_path / "rep"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        thirds = ("0.3333333333333333", "0.6666666666666666", "1.0")
+        expected = {
+            "stats.csv":
+                "spec_id,n,mean,median,min,max,std,q1,q3,iqr\r\n"
+                "a,6,0.985,0.595,0.47,2.9,0.8638431570603543,0.535,0.7749999999999999,"
+                "0.23999999999999988\r\n"
+                "b,3,0.5133333333333333,0.44,0.39,0.71,0.14055445761538676,"
+                "0.41500000000000004,0.575,0.15999999999999992\r\n"
+                "c,5,inf,0.4,0.2,inf,inf,0.3,0.5,0.2\r\n",
+            "ecdf_mean.csv": ("0.5133333333333333", "0.985", "inf"),
+            "ecdf_median.csv": ("0.4", "0.44", "0.595"),
+            "ecdf_max.csv": ("0.71", "2.9", "inf"),
+            "ecdf_std.csv": ("0.14055445761538676", "0.8638431570603543", "inf"),
+            "ecdf_quantile_0p75.csv": ("0.5", "0.575", "0.7749999999999999"),
+            "summary.txt":
+                "mean: best spec b at 0.5133333333333333\n"
+                "median: best spec c at 0.4\n"
+                "max: best spec b at 0.71\n"
+                "std: best spec b at 0.14055445761538676\n"
+                "quantile(0.75): best spec c at 0.5\n",
+        }
+        for name, want in expected.items():
+            if isinstance(want, tuple):
+                want = "value,fraction\r\n" + "".join(
+                    f"{v},{f}\r\n" for v, f in zip(want, thirds))
+            assert (out / name).read_bytes() == want.encode(), name
+        assert sorted(os.listdir(out)) == sorted(expected)
+
+    @pytest.mark.parametrize("line", [
+        "{not json",
+        '{"losses": [0.5]}',
+        '{"spec_id": "x"}',
+        '{"spec_id": "x", "losses": []}',
+        '{"spec_id": "x", "losses": [0.5, NaN]}',
+    ])
+    def test_bad_record_line_is_data_error(self, tmp_path, capsys, line):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"spec_id": "ok", "losses": [0.5, 0.6]}\n' + line + "\n")
+        cfg = write_config(tmp_path / "rep.yaml",
+                           {"command": "report", "records": str(records)})
+        out = tmp_path / "rep"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_DATA
+        assert "line 2" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_missing_records_is_data_error(self, tmp_path):
         cfg = write_config(
             tmp_path / "rep.yaml",

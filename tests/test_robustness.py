@@ -4,18 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rlab.calo import GeneratorConfig, generate_dataset
 from rlab.errors import ContractError
 from rlab.nn import ModelSpec
 from rlab.optim import OptimizerConfig
 from rlab.robustness import (
+    STAT_KEYS,
     BaselineGatePolicy,
     HalvingPolicy,
     RobustnessRecord,
     SelectionCriterion,
-    boxplot_stats,
     criterion_study,
     ecdf,
     robustness_statistic,
@@ -57,10 +57,11 @@ class TestStatistics:
             robustness_statistic([1.0], crit("mean", 0.5))
 
     def test_empty_and_nan_rejected(self):
-        with pytest.raises(ContractError):
-            robustness_statistic([], crit("mean"))
-        with pytest.raises(ContractError):
-            robustness_statistic([1.0, math.nan], crit("mean"))
+        for bad in ([], [1.0, math.nan], [1.0, -math.inf], [[1.0, 2.0]]):
+            with pytest.raises(ContractError):
+                robustness_statistic(bad, crit("mean"))
+            with pytest.raises(ContractError):
+                summary_statistics(bad)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractError):
@@ -86,6 +87,40 @@ class TestStatistics:
             mid = robustness_statistic(losses, crit(kind))
             assert lo - 1e-9 <= mid <= hi + 1e-9
 
+    def test_one_diverged_instance(self):
+        losses = [0.2, 0.3, 0.4, 0.5, math.inf]
+        s = summary_statistics(losses)
+        assert s["q1"] == 0.3 and s["median"] == 0.4 and s["q3"] == 0.5
+        assert s["iqr"] == pytest.approx(0.2)
+        assert s["whisker_lo"] == 0.2 and s["whisker_hi"] == 0.5
+        assert s["outliers"] == [math.inf]
+        assert robustness_statistic(losses, crit("quantile", 0.75)) == 0.5
+        assert robustness_statistic([1.0, math.inf], crit("median")) == math.inf
+        assert summary_statistics([1.0, math.inf])["median"] == math.inf
+
+    def test_all_diverged_has_zero_iqr(self):
+        s = summary_statistics([math.inf] * 3)
+        assert s["q1"] == s["median"] == s["q3"] == math.inf
+        assert s["iqr"] == 0.0 and s["outliers"] == []
+
+    @given(st.lists(st.floats(0.0, 100.0), max_size=12), st.integers(0, 5),
+           st.floats(0.01, 0.99))
+    @settings(max_examples=200)
+    def test_diverged_instances_give_no_nan(self, finite, n_inf, p):
+        assume(finite or n_inf)
+        losses = finite + [math.inf] * n_inf
+        s = summary_statistics(losses)
+        values = [v for k, v in s.items() if k != "outliers"] + s["outliers"]
+        assert not any(math.isnan(v) for v in values), s
+        assert s["whisker_lo"] <= s["whisker_hi"]
+        for c in (crit("mean"), crit("median"), crit("min"), crit("max"),
+                  crit("std"), crit("quantile", p)):
+            assert not math.isnan(robustness_statistic(losses, c))
+        for q, key in ((0.25, "q1"), (0.5, "median"), (0.75, "q3")):
+            assert repr(robustness_statistic(losses, crit("quantile", q))) == repr(s[key])
+            if n_inf == 0:
+                assert repr(float(np.quantile(losses, q))) == repr(s[key])
+
     def test_summary_matches_numpy(self):
         losses = [0.4, 1.1, 0.9, 2.5, 0.7]
         s = summary_statistics(losses)
@@ -99,7 +134,7 @@ class TestStatistics:
 
 class TestBoxplot:
     def test_hand_example_with_outlier(self):
-        box = boxplot_stats([1.0, 2.0, 3.0, 4.0, 100.0])
+        box = summary_statistics([1.0, 2.0, 3.0, 4.0, 100.0])
         assert box["q1"] == 2.0 and box["median"] == 3.0 and box["q3"] == 4.0
         assert box["whisker_lo"] == 1.0
         assert box["whisker_hi"] == 4.0
@@ -107,7 +142,7 @@ class TestBoxplot:
         assert box["min"] == 1.0 and box["max"] == 100.0 and box["n"] == 5
 
     def test_single_value_degenerates_to_point(self):
-        box = boxplot_stats([0.42])
+        box = summary_statistics([0.42])
         assert box["min"] == box["q1"] == box["median"] == box["q3"] == box["max"] == 0.42
         assert box["whisker_lo"] == box["whisker_hi"] == 0.42
         assert box["outliers"] == []
@@ -130,7 +165,8 @@ class TestRobustnessRecord:
         assert rec.losses == (1.0, 3.0)
         assert isinstance(rec.losses, tuple)
         assert [p["index"] for p in rec.provenance] == [0, 1]
-        assert rec.statistics() == summary_statistics([1.0, 3.0])
+        summary = summary_statistics([1.0, 3.0])
+        assert rec.statistics() == {key: summary[key] for key in STAT_KEYS}
 
     def test_constant_model_is_perfectly_robust(self):
         rec = RobustnessRecord(spec_id="s", spec_name="s", mode="fixed_data_random_init",
@@ -376,43 +412,29 @@ class TestBaselineGatePolicy:
 
 
 class TestCriterionStudy:
-    def make_records(self, losses_by_name):
-        out = []
-        for name, losses in losses_by_name.items():
-            rec = RobustnessRecord(spec_id=name, spec_name=name, mode="both_random",
-                                   sample_size=1, base_seed=0)
-            for v in losses:
-                rec.add(fake_instance(v))
-            out.append(rec)
-        return out
-
     def test_identical_models_give_single_step(self):
-        records = self.make_records({c: [0.5, 0.7] for c in "abcd"})
-        curves = criterion_study(records, [crit("mean"), crit("max")])
-        for xs, fs in curves.values():
+        curves = criterion_study([[0.5, 0.7]] * 4, [crit("mean"), crit("max")])
+        for _, xs, fs in curves.values():
             assert np.all(xs == xs[0])
             assert fs[-1] == 1.0
 
     def test_max_curve_sits_right_of_mean_curve(self):
         rng = np.random.default_rng(8)
-        records = self.make_records(
-            {f"m{i}": list(rng.uniform(0.1, 1.0, size=6)) for i in range(12)}
-        )
-        curves = criterion_study(records, [crit("mean"), crit("max")])
-        xs_mean, _ = curves["mean"]
-        xs_max, _ = curves["max"]
+        loss_sets = [list(rng.uniform(0.1, 1.0, size=6)) for _ in range(12)]
+        curves = criterion_study(loss_sets, [crit("mean"), crit("max")])
+        _, xs_mean, _ = curves["mean"]
+        _, xs_max, _ = curves["max"]
         assert np.all(xs_max >= xs_mean)
 
     def test_three_model_brute_force(self):
-        records = self.make_records({"a": [1.0, 3.0], "b": [2.0, 2.0], "c": [5.0, 1.0]})
-        curves = criterion_study(records, [crit("mean")])
-        xs, fs = curves["mean"]
+        curves = criterion_study([[1.0, 3.0], [2.0, 2.0], [5.0, 1.0]], [crit("mean")])
+        values, xs, fs = curves["mean"]
+        assert values == [2.0, 2.0, 3.0]
         assert list(xs) == [2.0, 2.0, 3.0]
         assert list(fs) == pytest.approx([1 / 3, 2 / 3, 1.0])
 
     def test_quantile_label(self):
-        records = self.make_records({"a": [1.0]})
-        curves = criterion_study(records, [crit("quantile", 0.9)])
+        curves = criterion_study([[1.0]], [crit("quantile", 0.9)])
         assert "quantile(0.9)" in curves
 
     def test_empty_inputs_rejected(self):
