@@ -240,7 +240,7 @@ def _specs_from(body: dict) -> list[ModelSpec]:
     raise ConfigError("need a 'specs' list or a 'search_space' block")
 
 
-def _trainer_from(body: dict, workers: int):
+def _trainer_from(body: dict):
     d = _require(body, "trainer")
     kind = d.get("kind")
     if kind == "mock":
@@ -273,10 +273,13 @@ def _trainer_from(body: dict, workers: int):
                 raise ContractError(f"external trainer failed ({proc.returncode}): "
                                     f"{proc.stderr.strip()}")
             try:
-                return float(proc.stdout.strip().splitlines()[-1])
+                loss = float(proc.stdout.strip().splitlines()[-1])
             except (ValueError, IndexError):
-                raise ContractError(
-                    f"external trainer printed no loss: {proc.stdout!r}") from None
+                loss = math.nan
+            if math.isnan(loss) or loss == -math.inf:     # +inf is a diverged instance
+                raise DatasetFormatError(f"external trainer printed no loss for spec "
+                                         f"{spec.name!r}: {proc.stdout!r}")
+            return loss
 
         return command_trainer
     if kind == "instances":
@@ -300,14 +303,15 @@ def _trainer_from(body: dict, workers: int):
 
 def cmd_select(body: dict, out_dir: str, seed_override: int | None, workers: int) -> int:
     specs = _specs_from(body)
-    k = int(_require(body, "k"))
+    k = int(_require(body, "k"))     # read only for the "vs exhaustive" line
+    if k < 1:
+        raise ConfigError("k must be >= 1")
     base_seed = seed_override if seed_override is not None else int(body.get("base_seed", 0))
     winners, ledger = select_models(
         specs,
         criterion=_criterion_from(body.get("criterion", {})),
-        k=k,
         policy=_policy_from(body),
-        trainer=_trainer_from(body, workers),
+        trainer=_trainer_from(body),
         max_rounds=int(body.get("max_rounds", 50)),
         base_seed=base_seed,
     )

@@ -2,9 +2,9 @@
 
 A ModelSpec is a value object: conv/pool/fc stack, activation kind, optional
 auxiliary input column(s) spliced into one FC layer's input, plus the
-training hyperparameters.  Parameter counts are a pure function of a
-ModelSpec, so whole grids can be enumerated and audited without building
-anything.
+training hyperparameters.  Feature shapes are a pure function of a
+ModelSpec, so whole grids can be enumerated and validated without building
+anything; parameter counts come from the one layout `Model` builds.
 
 Convolutions carry no bias; linear layers do.  Weights draw from He's
 fan-in-scaled normal, biases start at zero, learnable activation slopes at
@@ -42,65 +42,46 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # -- activations ---------------------------------------------------------------
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = expit(x.data)
-
-    def vjp(g, x=x, s=s):
-        x._accum(g * s * (1.0 - s))
-    return Tensor._result(s, (x,), "sigmoid", vjp)
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def vjp(g, x=x, t=t):
-        x._accum(g * (1.0 - t * t))
-    return Tensor._result(t, (x,), "tanh", vjp)
-
-
-def relu(x: Tensor) -> Tensor:
-    pos = x.data > 0.0
-
-    def vjp(g, x=x, pos=pos):
-        x._accum(g * pos)
-    return Tensor._result(np.where(pos, x.data, 0.0), (x,), "relu", vjp)
-
-
-def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
-    pos = x.data > 0.0
-
-    def vjp(g, x=x, pos=pos, slope=slope):
-        x._accum(g * np.where(pos, 1.0, slope))
-    return Tensor._result(np.where(pos, x.data, slope * x.data), (x,), "leaky_relu", vjp)
-
-
-def elu(x: Tensor) -> Tensor:
-    pos = x.data > 0.0
-    expm1 = np.expm1(x.data)
-
-    def vjp(g, x=x, pos=pos, expm1=expm1):
-        x._accum(g * np.where(pos, 1.0, expm1 + 1.0))
-    return Tensor._result(np.where(pos, x.data, expm1), (x,), "elu", vjp)
-
-
-def gelu(x: Tensor) -> Tensor:
+# kind -> (value(x), gradient(g, x, y)) on raw arrays, y the value at x
+_ELEMENTWISE = {
+    "sigmoid": (expit, lambda g, x, y: g * y * (1.0 - y)),
+    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
+    "relu": (lambda x: np.where(x > 0.0, x, 0.0), lambda g, x, y: g * (x > 0.0)),
+    "leaky_relu": (lambda x: np.where(x > 0.0, x, LEAKY_SLOPE * x),
+                   lambda g, x, y: g * np.where(x > 0.0, 1.0, LEAKY_SLOPE)),
+    "elu": (lambda x: np.where(x > 0.0, x, np.expm1(x)),
+            lambda g, x, y: g * np.where(x > 0.0, 1.0, y + 1.0)),
     # exact form: x * Phi(x), not the tanh fit
-    phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    "gelu": (lambda x: x * (0.5 * (1.0 + erf(x * _INV_SQRT2))),
+             lambda g, x, y: g * (0.5 * (1.0 + erf(x * _INV_SQRT2))
+                                  + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI))),
+}
 
-    def vjp(g, x=x, phi_cdf=phi_cdf):
-        density = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        x._accum(g * (phi_cdf + x.data * density))
-    return Tensor._result(x.data * phi_cdf, (x,), "gelu", vjp)
+
+def _elementwise(kind: str):
+    """The autograd op of one _ELEMENTWISE entry."""
+    value, gradient = _ELEMENTWISE[kind]
+
+    def activation(x: Tensor) -> Tensor:
+        y = value(x.data)
+
+        def vjp(g, x=x, y=y):
+            x._accum(gradient(g, x.data, y))
+        return Tensor._result(y, (x,), kind, vjp)
+
+    activation.__name__ = activation.__qualname__ = kind    # pickles by its module name
+    return activation
+
+
+sigmoid, tanh, relu, leaky_relu, elu, gelu = (
+    _elementwise(kind) for kind in ("sigmoid", "tanh", "relu", "leaky_relu", "elu", "gelu"))
 
 
 def _slope_broadcast(xshape: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # channel axis for feature maps, feature axis for vectors
-    axis = 1 if len(xshape) in (2, 4) else 0
-    if xshape[axis] != n:
-        raise ShapeError(f"{n} slopes cannot broadcast onto axis {axis} of {xshape}")
-    shape = [1] * len(xshape)
-    shape[axis] = n
-    return tuple(shape)
+    # axis 1: channels of [N,C,H,W] feature maps, units of [N,n] vectors
+    if len(xshape) < 2 or xshape[1] != n:
+        raise ShapeError(f"{n} slopes cannot broadcast onto axis 1 of {xshape}")
+    return (1, n) + (1,) * (len(xshape) - 2)
 
 
 def prelu(x: Tensor, slopes: Tensor) -> Tensor:
@@ -249,23 +230,7 @@ def feature_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:
 
 def param_count(spec: ModelSpec) -> int:
     """Trainable scalars: conv kernels, fc weights+biases, learnable slopes."""
-    shapes = feature_shapes(spec)
-    total = 0
-    c_in = INPUT_SHAPE[0]
-    for (filters, k), (c, h, w) in zip(spec.conv_layers, shapes):
-        total += filters * c_in * k * k
-        if spec.activation == "prelu":
-            total += filters
-        c_in = filters
-    c, h, w = shapes[-1]
-    width_in = c * h * w
-    for j, width in enumerate(spec.fc_layers):
-        fan = width_in + (spec.aux_width if j == spec.aux_injection_layer else 0)
-        total += fan * width + width
-        if spec.activation == "prelu" and j < len(spec.fc_layers) - 1:
-            total += width
-        width_in = width
-    return total
+    return sum(p.size for p in Model(spec, 0).parameters())
 
 
 # -- realization -------------------------------------------------------------------
@@ -327,20 +292,9 @@ class Model:
         return out
 
     def _activate(self, x: Tensor, slopes: Tensor | None) -> Tensor:
-        kind = self.spec.activation
-        if kind == "relu":
-            return relu(x)
-        if kind == "prelu":
-            return prelu(x, slopes)
-        if kind == "leaky_relu":
-            return leaky_relu(x)
-        if kind == "elu":
-            return elu(x)
-        if kind == "gelu":
-            return gelu(x)
-        if kind == "sigmoid":
-            return sigmoid(x)
-        return tanh(x)
+        # looked up when called, so a module-level rebinding takes effect
+        act = globals()[self.spec.activation]
+        return act(x) if slopes is None else act(x, slopes)
 
     def forward(self, x: Tensor, aux: Tensor | None = None) -> Tensor:
         """Batched prediction: x [N,1,15,15] (+ aux [N,aux_width]) -> [N]."""
@@ -384,28 +338,6 @@ class Model:
             if w.shape != p.data.shape:
                 raise ShapeError(f"weight shape {w.shape} does not match {p.data.shape}")
             p.data = w.copy()
-
-
-def build_model(spec: ModelSpec, init_seed: int) -> Model:
-    return Model(spec, init_seed)
-
-
-def forward_with_aux(model: Model, cluster: Tensor, aux: Sequence[float] | None = None) -> float:
-    """Single-event convenience: cluster [1,15,15] (or [15,15]) -> scalar prediction."""
-    data = cluster.data if isinstance(cluster, Tensor) else np.asarray(cluster, dtype=float)
-    if data.ndim == 2:
-        data = data[None]
-    if data.shape != INPUT_SHAPE:
-        raise ShapeError(f"cluster must have shape {INPUT_SHAPE}, got {data.shape}")
-    aux_t = None
-    if model.spec.aux_width:
-        if aux is None:
-            raise ContractError(f"{model.spec.name} needs {model.spec.aux_width} aux value(s)")
-        arr = np.asarray(aux, dtype=float).reshape(1, -1)
-        aux_t = Tensor(arr)
-    elif aux is not None:
-        raise ContractError(f"{model.spec.name} takes no aux input")
-    return float(model.forward(Tensor(data[None]), aux_t).data[0])
 
 
 # -- presets --------------------------------------------------------------------

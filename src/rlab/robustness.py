@@ -309,7 +309,7 @@ class SelectionLedger:
 
 
 def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
-                  k: int, policy, trainer: TrainerFn,
+                  policy, trainer: TrainerFn,
                   max_rounds: int = 50, base_seed: int = 0,
                   ) -> tuple[list[ModelSpec], SelectionLedger]:
     """Tournament over specs: one new instance per survivor per round, then the
@@ -323,8 +323,6 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
     if not specs:
         raise ContractError("nothing to select from")
     criterion.validate()
-    if k < 1:
-        raise ContractError("k must be >= 1")
     ids = [s.spec_id() for s in specs]
     if len(set(ids)) != len(ids):
         raise ContractError("spec ids must be unique")

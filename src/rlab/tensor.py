@@ -5,13 +5,11 @@ that pushes the output gradient back onto them.  `backward` walks the graph
 once in reverse topological order.  All storage is 64-bit; forward passes
 are bit-deterministic for identical inputs.
 
-Layer ops accept a single sample (conv: [C,H,W], linear: [n]) or a leading
-batch axis; gradients keep whichever layout the input used.
+Layer ops take batched input only: feature maps [N,C,H,W], vectors [N,n].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -196,22 +194,15 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.data.shape}")
-        graph = trace(self)
+        nodes = trace(self)
         self._accum(np.ones_like(self.data))
-        for node in reversed(graph.nodes):
+        for node in reversed(nodes):
             if node._vjp is not None and node.grad is not None:
                 node._vjp(node.grad)
 
 
-@dataclass
-class ComputeGraph:
-    """Nodes of one backward pass, parents strictly before children."""
-
-    nodes: list[Tensor]
-
-
-def trace(root: Tensor) -> ComputeGraph:
-    """Topologically order every grad-requiring node reachable from root."""
+def trace(root: Tensor) -> list[Tensor]:
+    """Every grad-requiring node reachable from root, parents strictly before children."""
     nodes: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -226,7 +217,7 @@ def trace(root: Tensor) -> ComputeGraph:
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
-    return ComputeGraph(nodes)
+    return nodes
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:
@@ -271,15 +262,13 @@ def _corr2d(x: Array, kern: Array) -> tuple[Array, Array]:
 def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     """Valid cross-correlation, stride 1, no bias.
 
-    x: [C_in,H,W] or [N,C_in,H,W]; kernels: [C_out,C_in,kh,kw].
-    Output spatial size is (H-kh+1, W-kw+1).
+    x: [N,C_in,H,W]; kernels: [C_out,C_in,kh,kw] -> [N,C_out,H-kh+1,W-kw+1].
     """
     if kernels.data.ndim != 4:
         raise ShapeError(f"kernels must be rank 4, got rank {kernels.data.ndim}")
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4:
-        raise ShapeError(f"input must be rank 3 or 4, got rank {x.data.ndim}")
+        raise ShapeError(f"input must be rank 4, got rank {xd.ndim}")
     co, ci, kh, kw = kernels.data.shape
     if xd.shape[1] != ci:
         raise ShapeError(f"channel axis mismatch: input has {xd.shape[1]}, kernels expect {ci}")
@@ -288,33 +277,30 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
 
     out, cols = _corr2d(xd, kernels.data)
 
-    def vjp(g, x=x, kernels=kernels, cols=cols, squeeze=squeeze,
-            co=co, kh=kh, kw=kw):
-        g4 = g[None] if squeeze else g
+    def vjp(g, x=x, kernels=kernels, cols=cols, co=co, kh=kh, kw=kw):
         if kernels.requires_grad:
-            gm = g4.transpose(0, 2, 3, 1).reshape(-1, co)
+            gm = g.transpose(0, 2, 3, 1).reshape(-1, co)
             kernels._accum((gm.T @ cols).reshape(kernels.data.shape))
         if x.requires_grad:
-            gp = np.pad(g4, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+            gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
             kt = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             dx, _ = _corr2d(gp, np.ascontiguousarray(kt))
-            x._accum(dx[0] if squeeze else dx)
+            x._accum(dx)
 
-    return Tensor._result(out[0] if squeeze else out, (x, kernels), "conv2d", vjp)
+    return Tensor._result(out, (x, kernels), "conv2d", vjp)
 
 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Square max pooling, floor output size.
+    """Square max pooling of x [N,C,H,W], floor output size.
 
     Gradient routes to the first maximal element of each window in row-major
     order; overlapping windows accumulate.
     """
     if window < 1 or stride < 1:
         raise ContractError(f"window and stride must be >= 1, got {window}, {stride}")
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4:
-        raise ShapeError(f"input must be rank 3 or 4, got rank {x.data.ndim}")
+        raise ShapeError(f"input must be rank 4, got rank {xd.ndim}")
     n, c, h, w = xd.shape
     if window > h or window > w:
         raise ShapeError(f"window {window} larger than spatial axes {h}x{w}")
@@ -326,49 +312,43 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     idx = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
-    def vjp(g, x=x, idx=idx, squeeze=squeeze, shape=(n, c, h, w),
-            window=window, stride=stride):
+    def vjp(g, x=x, idx=idx, shape=(n, c, h, w), window=window, stride=stride):
         if not x.requires_grad:
             return
-        n, c, h, w = shape
-        g4 = g[None] if squeeze else g
         ni, ci, oi, oj = np.indices(idx.shape)
         src_i = oi * stride + idx // window
         src_j = oj * stride + idx % window
         dx = np.zeros(shape)
-        np.add.at(dx, (ni, ci, src_i, src_j), g4)
-        x._accum(dx[0] if squeeze else dx)
+        np.add.at(dx, (ni, ci, src_i, src_j), g)
+        x._accum(dx)
 
-    return Tensor._result(out[0] if squeeze else out, (x,), "maxpool2d", vjp)
+    return Tensor._result(out, (x,), "maxpool2d", vjp)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map: x [n] or [N,n], weight [m,n], bias [m] -> [m] or [N,m]."""
+    """Affine map: x [N,n], weight [m,n], bias [m] -> [N,m]."""
     if weight.data.ndim != 2:
         raise ShapeError(f"weight must be rank 2, got rank {weight.data.ndim}")
     m, nin = weight.data.shape
     if bias.data.shape != (m,):
         raise ShapeError(f"bias must have shape ({m},), got {bias.data.shape}")
-    squeeze = x.data.ndim == 1
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 2:
-        raise ShapeError(f"input must be rank 1 or 2, got rank {x.data.ndim}")
+        raise ShapeError(f"input must be rank 2, got rank {xd.ndim}")
     if xd.shape[1] != nin:
         raise ShapeError(f"input width {xd.shape[1]} does not match weight width {nin}")
 
     out = xd @ weight.data.T + bias.data
 
-    def vjp(g, x=x, weight=weight, bias=bias, xd=xd, squeeze=squeeze):
-        g2 = g[None] if squeeze else g
+    def vjp(g, x=x, weight=weight, bias=bias, xd=xd):
         if weight.requires_grad:
-            weight._accum(g2.T @ xd)
+            weight._accum(g.T @ xd)
         if bias.requires_grad:
-            bias._accum(g2.sum(axis=0))
+            bias._accum(g.sum(axis=0))
         if x.requires_grad:
-            dx = g2 @ weight.data
-            x._accum(dx[0] if squeeze else dx)
+            x._accum(g @ weight.data)
 
-    return Tensor._result(out[0] if squeeze else out, (x, weight, bias), "linear", vjp)
+    return Tensor._result(out, (x, weight, bias), "linear", vjp)
 
 
 # -- gradient oracle ---------------------------------------------------------------

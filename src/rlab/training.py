@@ -17,7 +17,7 @@ import numpy as np
 
 from .calo import Dataset, cluster_barycenter, cluster_energy_sum
 from .errors import ContractError, DivergenceError
-from .nn import Model, ModelSpec, build_model
+from .nn import Model, ModelSpec
 from .optim import make_optimizer
 from .seeding import substream
 from .tensor import Tensor
@@ -253,7 +253,7 @@ def train_instance(spec: ModelSpec, train_set: Dataset, eval_set: Dataset,
     stop = stop or EarlyStopConfig()
     stop.validate()
     t0 = time.perf_counter()
-    model = build_model(spec, init_seed)
+    model = Model(spec, init_seed)
     trace, diverged = fit(
         model,
         prepare_arrays(spec, train_set),

@@ -20,9 +20,9 @@ from rlab.calo import GeneratorConfig, generate_dataset, split_fixed
 from rlab.cli import main
 from rlab.nn import (
     ACTIVATIONS,
+    Model,
     ModelSpec,
     PRESET_IDS,
-    build_model,
     enumerate_search_space,
     param_count,
     preset_spec,
@@ -100,7 +100,7 @@ def test_c01_gradients_match_finite_differences_everywhere():
         aux = "energy_sum" if act == "gelu" else "none"
         spec = tiny_spec(f"grad-{act}", activation=act, aux=aux)
         clusters, auxcol, targets = prepare_arrays(spec, batch)
-        model = build_model(spec, init_seed=100 + i)
+        model = Model(spec, init_seed=100 + i)
         worst = finite_diff_check(
             lambda: _loss_node(spec, model, clusters, auxcol, targets, idx),
             model.parameters(), sample_limit=32, seed=1)
@@ -110,7 +110,7 @@ def test_c01_gradients_match_finite_differences_everywhere():
     for pid in PRESET_IDS:
         spec = preset_spec(pid)
         clusters, auxcol, targets = prepare_arrays(spec, batch)
-        model = build_model(spec, init_seed=5)
+        model = Model(spec, init_seed=5)
         worst = finite_diff_check(
             lambda: _loss_node(spec, model, clusters, auxcol, targets, idx),
             model.parameters(), sample_limit=48, seed=2)
@@ -213,7 +213,7 @@ def test_c05_selection_budget_on_full_mock_grid():
         return 0.05 + int(spec.spec_id(), 16) / 16 ** 10
 
     winners, ledger = select_models(
-        specs, SelectionCriterion("mean"), k=50,
+        specs, SelectionCriterion("mean"),
         policy=BaselineGatePolicy(reference_loss=0.5, margin=0.2),
         trainer=trainer, max_rounds=14, base_seed=9)
     elapsed = time.perf_counter() - t0
@@ -242,7 +242,7 @@ def test_c06_selection_picks_true_best_in_monte_carlo_mock():
     wins = 0
     for campaign in range(100):
         winners, ledger = select_models(
-            specs, SelectionCriterion("mean"), k=3,
+            specs, SelectionCriterion("mean"),
             policy=HalvingPolicy(start_round=1), trainer=trainer,
             base_seed=campaign)
         if len(winners) == 1 and winners[0].name == "good":
@@ -262,7 +262,7 @@ def test_c07_constant_model_loss_spread_is_exactly_zero():
                               mode="fixed_data_random_init",
                               sample_size=len(test_set), base_seed=0)
     for init_seed in range(5):
-        model = build_model(spec, init_seed)
+        model = Model(spec, init_seed)
         for p in model.parameters():
             p.data[...] = 0.0
         model.fc_biases[-1].data[...] = 2.5                # output 2.5 for any input

@@ -265,6 +265,30 @@ class TestSelect:
         winners = json.loads((tmp_path / "winners.json").read_text())
         assert [w["spec"]["name"] for w in winners] == ["A"]
 
+    @pytest.mark.parametrize("printed", ["nan", "-inf", "ten", ""])
+    def test_command_trainer_bad_loss_is_data_error(self, tmp_path, capsys, printed):
+        script = tmp_path / "trainer.py"
+        script.write_text(
+            "import json, sys\n"
+            "spec = json.load(sys.stdin)\n"
+            f"print({{'A': '1.0', 'B': {printed!r}}}[spec['name']])\n"
+        )
+        body = {
+            "command": "select",
+            "specs": [tiny_spec_dict("A"), tiny_spec_dict("B")],
+            "trainer": {"kind": "command", "argv": [sys.executable, str(script)]},
+            "k": 2,
+        }
+        cfg = write_config(tmp_path / "s.yaml", body)
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "'B'" in err
+        assert not (tmp_path / "ledger.json").exists()
+
+    def test_nonpositive_k_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path / "s.yaml", self.mock_select_body(k=0))
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
     def test_empty_space_is_config_error(self, tmp_path):
         body = self.mock_select_body()
         body["specs"] = []

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rlab.nn
 from rlab.errors import CatalogueError, ContractError, ShapeError
 from rlab.nn import (
     ACTIVATIONS, AUX_WIDTHS, Model, ModelSpec, SearchSpace, activation_value,
-    build_model, elu, enumerate_search_space, feature_shapes, forward_with_aux,
-    gelu, he_init, leaky_relu, param_count, prelu, preset_spec,
-    reference_search_space, relu, sigmoid, tanh,
+    elu, enumerate_search_space, feature_shapes, gelu, he_init, leaky_relu,
+    param_count, prelu, preset_spec, reference_search_space, relu, sigmoid, tanh,
 )
 from rlab.optim import OptimizerConfig
 from rlab.tensor import Tensor, finite_diff_check
@@ -122,7 +122,7 @@ class TestSpecAccounting:
 
     @pytest.mark.parametrize("pid", sorted(PRESET_COUNTS))
     def test_built_model_matches_declared_count(self, pid):
-        model = build_model(preset_spec(pid), init_seed=1)
+        model = Model(preset_spec(pid), init_seed=1)
         assert sum(p.size for p in model.parameters()) == PRESET_COUNTS[pid]
 
     def test_feature_shapes_of_energy_presets(self):
@@ -159,44 +159,44 @@ class TestModelForward:
         return Tensor(rng.uniform(0.0, 5.0, (n, 1, 15, 15)))
 
     def test_prediction_shape(self):
-        model = build_model(preset_spec("model1"), 3)
+        model = Model(preset_spec("model1"), 3)
         out = model.forward(self.batch(4))
         assert out.shape == (4,)
 
     def test_init_seed_pins_weights(self):
-        a = build_model(preset_spec("model1"), 11)
-        b = build_model(preset_spec("model1"), 11)
+        a = Model(preset_spec("model1"), 11)
+        b = Model(preset_spec("model1"), 11)
         for wa, wb in zip(a.get_weights(), b.get_weights()):
             assert np.array_equal(wa, wb)
-        c = build_model(preset_spec("model1"), 12)
+        c = Model(preset_spec("model1"), 12)
         assert any(not np.array_equal(wa, wc)
                    for wa, wc in zip(a.get_weights(), c.get_weights()))
 
     def test_biases_start_at_zero(self):
-        model = build_model(preset_spec("model1"), 7)
+        model = Model(preset_spec("model1"), 7)
         for b in model.fc_biases:
             assert np.all(b.data == 0.0)
 
     def test_prelu_slopes_start_at_quarter(self):
-        model = build_model(preset_spec("model3"), 7)
+        model = Model(preset_spec("model3"), 7)
         for s in model.conv_slopes + model.fc_slopes[:-1]:
             assert np.all(s.data == 0.25)
 
     def test_aux_required_and_shaped(self):
-        model = build_model(preset_spec("model2"), 3)
+        model = Model(preset_spec("model2"), 3)
         with pytest.raises(ContractError):
             model.forward(self.batch(2))
         with pytest.raises(ShapeError):
             model.forward(self.batch(2), Tensor(np.zeros((2, 2))))
 
     def test_raw_model_rejects_aux(self):
-        model = build_model(preset_spec("model1"), 3)
+        model = Model(preset_spec("model1"), 3)
         with pytest.raises(ContractError):
             model.forward(self.batch(2), Tensor(np.zeros((2, 1))))
 
     def test_zeroed_aux_column_reproduces_raw_forward(self):
-        fed = build_model(preset_spec("model2"), 21)
-        raw = build_model(preset_spec("model1"), 21)
+        fed = Model(preset_spec("model2"), 21)
+        raw = Model(preset_spec("model1"), 21)
         # same trunk weights; raw fc1 loses the aux column, which is zeroed in fed
         for k_raw, k_fed in zip(raw.conv_kernels, fed.conv_kernels):
             k_fed.data = k_raw.data.copy()
@@ -208,7 +208,7 @@ class TestModelForward:
         np.testing.assert_array_equal(fed.forward(x, aux).data, raw.forward(x).data)
 
     def test_gradient_reaches_aux_columns(self):
-        model = build_model(preset_spec("model2"), 4)
+        model = Model(preset_spec("model2"), 4)
         x = self.batch(6)
         aux = Tensor(np.random.default_rng(2).uniform(10.0, 90.0, (6, 1)))
         (model.forward(x, aux) ** 2).mean().backward()
@@ -216,26 +216,34 @@ class TestModelForward:
         assert np.any(aux_col_grad != 0.0)
 
     def test_forward_deterministic(self):
-        model = build_model(preset_spec("model3"), 9)
+        model = Model(preset_spec("model3"), 9)
         x = self.batch(2, seed=8)
         a = model.forward(x).data.copy()
         b = model.forward(self.batch(2, seed=8)).data
         assert np.array_equal(a, b)
 
-    def test_forward_with_aux_scalar(self):
-        model = build_model(preset_spec("model2"), 5)
-        cluster = np.random.default_rng(3).uniform(0.0, 4.0, (15, 15))
-        value = forward_with_aux(model, Tensor(cluster), [cluster.sum()])
-        assert isinstance(value, float)
+    @pytest.mark.parametrize("pid, used, unused", [("model1", "relu", "prelu"),
+                                                   ("model3", "prelu", "relu")])
+    def test_activations_looked_up_by_module_name(self, monkeypatch, pid, used, unused):
+        # tracing tools rebind rlab.nn.relu / rlab.nn.prelu; forward must see it
+        calls = {"relu": 0, "prelu": 0}
 
-    def test_forward_with_aux_contract(self):
-        model = build_model(preset_spec("model2"), 5)
-        with pytest.raises(ContractError):
-            forward_with_aux(model, Tensor(np.zeros((15, 15))))
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(rlab.nn, name, counting(name, getattr(rlab.nn, name)))
+        spec = preset_spec(pid)
+        Model(spec, 1).forward(self.batch(2))
+        assert calls[used] == len(spec.conv_layers) + len(spec.fc_layers) - 1
+        assert calls[unused] == 0
 
     def test_set_weights_round_trip(self):
-        a = build_model(preset_spec("model4"), 31)
-        b = build_model(preset_spec("model4"), 32)
+        a = Model(preset_spec("model4"), 31)
+        b = Model(preset_spec("model4"), 32)
         b.set_weights(a.get_weights())
         x = self.batch(3)
         aux = Tensor(np.zeros((3, 2)))

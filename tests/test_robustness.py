@@ -270,7 +270,7 @@ class TestSelection:
     def test_deterministic_ordering_wins(self):
         specs = self.make_specs(["A", "B", "C"])
         trainer = FixedTrainer({"A": 1.0, "B": 2.0, "C": 3.0})
-        winners, ledger = select_models(specs, crit("mean"), k=3,
+        winners, ledger = select_models(specs, crit("mean"),
                                         policy=HalvingPolicy(), trainer=trainer)
         assert [w.name for w in winners] == ["A"]
         assert not ledger.tie
@@ -281,7 +281,7 @@ class TestSelection:
     def test_ledger_conservation(self):
         specs = self.make_specs(["A", "B", "C", "D", "E"])
         trainer = FixedTrainer({n: i + 1.0 for i, n in enumerate("ABCDE")})
-        _, ledger = select_models(specs, crit("mean"), k=3,
+        _, ledger = select_models(specs, crit("mean"),
                                   policy=HalvingPolicy(), trainer=trainer)
         assert ledger.cumulative_trainings == sum(ledger.instance_counts.values())
         counts = [r.survivors_before for r in ledger.rounds]
@@ -291,7 +291,7 @@ class TestSelection:
         names = [f"s{i:02d}" for i in range(64)]
         specs = self.make_specs(names)
         trainer = FixedTrainer({n: float(i) for i, n in enumerate(names)})
-        winners, ledger = select_models(specs, crit("mean"), k=50,
+        winners, ledger = select_models(specs, crit("mean"),
                                         policy=HalvingPolicy(), trainer=trainer)
         assert [w.name for w in winners] == ["s00"]
         assert len(ledger.rounds) == 6         # 64->32->16->8->4->2->1
@@ -301,7 +301,7 @@ class TestSelection:
     def test_halving_tie_removes_later_specs_first(self):
         specs = self.make_specs(["A", "B", "C", "D"])
         trainer = FixedTrainer({n: 5.0 for n in "ABCD"})
-        winners, ledger = select_models(specs, crit("mean"), k=2,
+        winners, ledger = select_models(specs, crit("mean"),
                                         policy=HalvingPolicy(), trainer=trainer)
         assert [w.name for w in winners] == ["A"]
         assert set(ledger.rounds[0].removed) == {s.spec_id() for s in specs[2:]}
@@ -310,7 +310,7 @@ class TestSelection:
         specs = self.make_specs(["A", "B"])
         trainer = FixedTrainer({"A": 10.0, "B": 10.0})
         policy = BaselineGatePolicy(reference_loss=1.0)
-        winners, ledger = select_models(specs, crit("mean"), k=2,
+        winners, ledger = select_models(specs, crit("mean"),
                                         policy=policy, trainer=trainer)
         assert ledger.tie
         assert {w.name for w in winners} == {"A", "B"}
@@ -320,7 +320,7 @@ class TestSelection:
     def test_max_rounds_cap_leaves_tie(self):
         specs = self.make_specs(["A", "B", "C"])
         trainer = FixedTrainer({"A": 1.0, "B": 2.0, "C": 3.0})
-        winners, ledger = select_models(specs, crit("mean"), k=9,
+        winners, ledger = select_models(specs, crit("mean"),
                                         policy=HalvingPolicy(start_round=99),
                                         trainer=trainer, max_rounds=4)
         assert len(winners) == 3
@@ -331,7 +331,7 @@ class TestSelection:
     def test_single_spec_needs_no_training(self):
         specs = self.make_specs(["A"])
         trainer = FixedTrainer({"A": 1.0})
-        winners, ledger = select_models(specs, crit("mean"), k=3,
+        winners, ledger = select_models(specs, crit("mean"),
                                         policy=HalvingPolicy(), trainer=trainer)
         assert [w.name for w in winners] == ["A"]
         assert ledger.cumulative_trainings == 0
@@ -340,7 +340,7 @@ class TestSelection:
     def test_duplicate_specs_rejected(self):
         spec = tiny_spec("A")
         with pytest.raises(ContractError):
-            select_models([spec, spec], crit("mean"), k=2,
+            select_models([spec, spec], crit("mean"),
                           policy=HalvingPolicy(), trainer=FixedTrainer({"A": 1.0}))
 
     def test_noisy_selection_favors_true_best(self):
@@ -351,7 +351,7 @@ class TestSelection:
             def trainer(spec, round_index, seed):
                 return float(np.random.default_rng(seed).normal(mu[spec.name], 0.1))
 
-            winners, _ = select_models(specs, crit("mean"), k=3,
+            winners, _ = select_models(specs, crit("mean"),
                                        policy=HalvingPolicy(), trainer=trainer,
                                        base_seed=rep)
             if [w.name for w in winners] == ["A"]:
@@ -371,7 +371,7 @@ class TestSelection:
                 rng = np.random.default_rng(seed)
                 return 100.0 if rng.uniform() < p else 0.5
 
-            winners, _ = select_models(specs, crit("max"), k=k,
+            winners, _ = select_models(specs, crit("max"),
                                        policy=HalvingPolicy(start_round=k),
                                        trainer=trainer, base_seed=10_000 + rep)
             if [w.name for w in winners] == ["steady"]:
@@ -380,12 +380,9 @@ class TestSelection:
         assert abs(rejected / reps - expected) < 0.08
 
     def test_validation(self):
-        specs = self.make_specs(["A", "B"])
         trainer = FixedTrainer({"A": 1.0, "B": 2.0})
         with pytest.raises(ContractError):
-            select_models([], crit("mean"), k=1, policy=HalvingPolicy(), trainer=trainer)
-        with pytest.raises(ContractError):
-            select_models(specs, crit("mean"), k=0, policy=HalvingPolicy(), trainer=trainer)
+            select_models([], crit("mean"), policy=HalvingPolicy(), trainer=trainer)
         with pytest.raises(ContractError):
             HalvingPolicy(start_round=0)
         with pytest.raises(ContractError):

@@ -16,14 +16,14 @@ def rnd(shape, seed, scale=1.0):
 
 class TestConvForward:
     def test_all_ones_kernel_sums_windows(self):
-        x = Tensor(np.ones((1, 3, 3)))
+        x = Tensor(np.ones((1, 1, 3, 3)))
         k = Tensor(np.ones((1, 1, 2, 2)))
         out = conv2d(x, k)
-        np.testing.assert_array_equal(out.data, np.full((1, 2, 2), 4.0))
+        np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
     def test_valid_output_shape(self):
-        out = conv2d(Tensor(np.zeros((1, 15, 15))), Tensor(np.zeros((32, 1, 3, 3))))
-        assert out.shape == (32, 13, 13)
+        out = conv2d(Tensor(np.zeros((1, 1, 15, 15))), Tensor(np.zeros((32, 1, 3, 3))))
+        assert out.shape == (1, 32, 13, 13)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(7)
@@ -31,23 +31,23 @@ class TestConvForward:
         k = Tensor(rng.normal(size=(5, 3, 3, 3)))
         batched = conv2d(Tensor(xb), k)
         for i in range(4):
-            single = conv2d(Tensor(xb[i]), k)
-            np.testing.assert_array_equal(batched.data[i], single.data)
+            single = conv2d(Tensor(xb[i:i + 1]), k)
+            np.testing.assert_array_equal(batched.data[i:i + 1], single.data)
 
     def test_channel_mismatch_names_axis(self):
         with pytest.raises(ShapeError, match="channel"):
-            conv2d(Tensor(np.zeros((2, 5, 5))), Tensor(np.zeros((4, 3, 2, 2))))
+            conv2d(Tensor(np.zeros((1, 2, 5, 5))), Tensor(np.zeros((4, 3, 2, 2))))
 
     def test_kernel_larger_than_input(self):
         with pytest.raises(ShapeError):
-            conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
+            conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), a=st.floats(-3, 3), b=st.floats(-3, 3))
     def test_linearity_in_input(self, seed, a, b):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(2, 6, 6))
-        y = rng.normal(size=(2, 6, 6))
+        x = rng.normal(size=(1, 2, 6, 6))
+        y = rng.normal(size=(1, 2, 6, 6))
         k = Tensor(rng.normal(size=(3, 2, 3, 3)))
         lhs = conv2d(Tensor(a * x + b * y), k).data
         rhs = a * conv2d(Tensor(x), k).data + b * conv2d(Tensor(y), k).data
@@ -55,7 +55,7 @@ class TestConvForward:
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(3)
-        x, k = rng.normal(size=(2, 9, 9)), rng.normal(size=(4, 2, 3, 3))
+        x, k = rng.normal(size=(1, 2, 9, 9)), rng.normal(size=(4, 2, 3, 3))
         a = conv2d(Tensor(x), Tensor(k)).data
         b = conv2d(Tensor(x.copy()), Tensor(k.copy())).data
         assert np.array_equal(a, b)
@@ -63,11 +63,11 @@ class TestConvForward:
 
 class TestMaxPool:
     def test_tie_routes_to_first_row_major(self):
-        x = Tensor(np.array([[[1.0, 3.0], [2.0, 3.0]]]), requires_grad=True)
+        x = Tensor(np.array([[[[1.0, 3.0], [2.0, 3.0]]]]), requires_grad=True)
         out = maxpool2d(x, 2, 2)
         assert out.data.reshape(()) == 3.0
         out.sum().backward()
-        np.testing.assert_array_equal(x.grad, [[[0.0, 1.0], [0.0, 0.0]]])
+        np.testing.assert_array_equal(x.grad, [[[[0.0, 1.0], [0.0, 0.0]]]])
 
     @pytest.mark.parametrize("h, window, stride, expected", [
         (13, 2, 2, 6),   # floor mode
@@ -76,39 +76,39 @@ class TestMaxPool:
         (6, 2, 2, 3),
     ])
     def test_floor_output_size(self, h, window, stride, expected):
-        out = maxpool2d(Tensor(np.zeros((1, h, h))), window, stride)
-        assert out.shape == (1, expected, expected)
+        out = maxpool2d(Tensor(np.zeros((1, 1, h, h))), window, stride)
+        assert out.shape == (1, 1, expected, expected)
 
     def test_window_one_is_identity(self):
-        x = np.random.default_rng(0).normal(size=(2, 5, 5))
+        x = np.random.default_rng(0).normal(size=(1, 2, 5, 5))
         out = maxpool2d(Tensor(x), 1, 1)
         np.testing.assert_array_equal(out.data, x)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), stride=st.integers(1, 2))
     def test_routed_gradient_mass_is_conserved(self, seed, stride):
-        x = rnd((2, 6, 6), seed)
+        x = rnd((1, 2, 6, 6), seed)
         out = maxpool2d(x, 2, stride)
         g = np.random.default_rng(seed + 1).normal(size=out.shape)
         (out * Tensor(g)).sum().backward()
         np.testing.assert_allclose(x.grad.sum(), g.sum(), rtol=1e-12)
 
     def test_gradient_zero_off_argmax(self):
-        x = Tensor(np.array([[[5.0, 1.0], [2.0, 3.0]]]), requires_grad=True)
+        x = Tensor(np.array([[[[5.0, 1.0], [2.0, 3.0]]]]), requires_grad=True)
         maxpool2d(x, 2, 2).sum().backward()
-        np.testing.assert_array_equal(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
+        np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
     def test_invalid_window(self):
         with pytest.raises(ContractError):
-            maxpool2d(Tensor(np.zeros((1, 4, 4))), 0, 1)
+            maxpool2d(Tensor(np.zeros((1, 1, 4, 4))), 0, 1)
 
 
 class TestLinear:
     def test_single_vector(self):
         w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         b = Tensor(np.array([0.5, -0.5]))
-        out = linear(Tensor(np.array([1.0, 1.0])), w, b)
-        np.testing.assert_array_equal(out.data, [3.5, 6.5])
+        out = linear(Tensor(np.array([[1.0, 1.0]])), w, b)
+        np.testing.assert_array_equal(out.data, [[3.5, 6.5]])
 
     def test_batch_broadcasts_bias(self):
         w = Tensor(np.eye(3))
@@ -118,7 +118,7 @@ class TestLinear:
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError, match="width"):
-            linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
+            linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
 
 
 class TestBackward:
@@ -131,8 +131,7 @@ class TestBackward:
         x = Tensor(np.ones(4), requires_grad=True)
         y = x * 2.0
         z = (y + y).sum()   # diamond: y feeds twice
-        graph = trace(z)
-        ids = [id(n) for n in graph.nodes]
+        ids = [id(n) for n in trace(z)]
         assert len(ids) == len(set(ids))
         z.backward()
         np.testing.assert_array_equal(x.grad, np.full(4, 4.0))
@@ -141,7 +140,7 @@ class TestBackward:
         x = Tensor(np.ones(2), requires_grad=True)
         y = x * 3.0
         z = y.sum()
-        order = trace(z).nodes
+        order = trace(z)
         assert order.index(x) < order.index(y) < order.index(z)
 
     def test_grad_accumulates_across_paths(self):
@@ -159,12 +158,12 @@ class TestFiniteDiffOracle:
         assert err < tol, f"max relative gradient error {err}"
 
     def test_conv_kernels_and_input(self):
-        x = rnd((2, 7, 7), 10)
+        x = rnd((1, 2, 7, 7), 10)
         k = rnd((3, 2, 3, 3), 11, scale=0.5)
         self.check(lambda: (conv2d(x, k) ** 2).mean(), [x, k])
 
     def test_maxpool_input(self):
-        x = rnd((2, 6, 6), 12)
+        x = rnd((1, 2, 6, 6), 12)
         self.check(lambda: (maxpool2d(x, 2, 2) ** 2).mean(), [x])
 
     def test_linear_all_parts(self):
@@ -184,14 +183,14 @@ class TestFiniteDiffOracle:
         self.check(loss, [a, b])
 
     def test_composite_conv_pool_linear(self):
-        x = rnd((1, 8, 8), 19)
+        x = rnd((1, 1, 8, 8), 19)
         k = rnd((4, 1, 3, 3), 20, scale=0.5)
         w = rnd((2, 36), 21, scale=0.3)
         b = rnd((2,), 22)
 
         def loss():
             h = maxpool2d(conv2d(x, k), 2, 2)
-            return (linear(h.reshape(36), w, b) ** 2).mean()
+            return (linear(h.reshape(1, 36), w, b) ** 2).mean()
         self.check(loss, [x, k, w, b])
 
     def test_sampled_subset_agrees_with_full(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rlab.calo import GeneratorConfig, generate_dataset
 from rlab.errors import ContractError
-from rlab.nn import ModelSpec, build_model
+from rlab.nn import Model, ModelSpec
 from rlab.optim import OptimizerConfig
 from rlab.seeding import substream
 from rlab.training import (
@@ -214,7 +214,7 @@ class TestEvaluate:
     def test_matches_whole_batch_forward(self, small_sets):
         train, _ = small_sets
         spec = tiny_spec()
-        model = build_model(spec, init_seed=5)
+        model = Model(spec, init_seed=5)
         clusters, aux, targets = prepare_arrays(spec, train)
         chunked = evaluate(model, clusters, aux, targets)
 
@@ -227,7 +227,7 @@ class TestEvaluate:
         cfg = GeneratorConfig()
         ds = generate_dataset(cfg, EVAL_BATCH + 5, seed=7)
         spec = tiny_spec()
-        model = build_model(spec, init_seed=1)
+        model = Model(spec, init_seed=1)
         a = evaluate_on(model, ds)
         b = evaluate_on(model, ds)
         assert a == b
@@ -235,7 +235,7 @@ class TestEvaluate:
     def test_evaluate_on_equals_evaluate(self, small_sets):
         _, test = small_sets
         spec = tiny_spec()
-        model = build_model(spec, init_seed=2)
+        model = Model(spec, init_seed=2)
         assert evaluate_on(model, test) == evaluate(model, *prepare_arrays(spec, test))
 
 
@@ -255,7 +255,7 @@ class TestConstantModelOracle:
     def test_energy_bias_reaches_constant_floor(self, small_sets):
         train, _ = small_sets
         spec = tiny_spec(optimizer=OptimizerConfig(kind="adam", learning_rate=0.1), batch_size=32)
-        model = build_model(spec, init_seed=0)
+        model = Model(spec, init_seed=0)
         _freeze_all_but_last_bias(model)
         arrays = prepare_arrays(spec, train)
         stop = EarlyStopConfig(min_epochs=150, window=10, threshold=1e9, hard_cap=150)
@@ -273,7 +273,7 @@ class TestConstantModelOracle:
             optimizer=OptimizerConfig(kind="sgd", learning_rate=0.2),
             batch_size=96,
         )
-        model = build_model(spec, init_seed=0)
+        model = Model(spec, init_seed=0)
         _freeze_all_but_last_bias(model)
         arrays = prepare_arrays(spec, train)
         stop = EarlyStopConfig(min_epochs=60, window=10, threshold=1e9, hard_cap=60)
