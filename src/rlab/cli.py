@@ -270,8 +270,8 @@ def _trainer_from(body: dict):
             proc = subprocess.run(argv, input=json.dumps(spec.to_dict()),
                                   capture_output=True, text=True, env=env)
             if proc.returncode != 0:
-                raise ContractError(f"external trainer failed ({proc.returncode}): "
-                                    f"{proc.stderr.strip()}")
+                raise DatasetFormatError(f"external trainer exited {proc.returncode} for spec "
+                                         f"{spec.name!r}; stderr: {proc.stderr[-500:]!r}")
             try:
                 loss = float(proc.stdout.strip().splitlines()[-1])
             except (ValueError, IndexError):

@@ -8,7 +8,7 @@ only meaningful for AdamW.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Sequence
 
 import numpy as np

@@ -169,11 +169,26 @@ class RobustnessRecord:
         }
 
 
-def _train_task(args: tuple) -> TrainedInstance:
-    spec, pool, test_set, size, data_seed, init_seed, stop = args
+def _train_task(pool: Dataset, test_set: Dataset, spec: ModelSpec, size: int,
+                data_seed: int, init_seed: int,
+                stop: EarlyStopConfig | None) -> TrainedInstance:
     train_set = bootstrap_sample(pool, size, seed=data_seed)
     return train_instance(spec, train_set, test_set, init_seed,
                           stop=stop, data_seed=data_seed)
+
+
+# a pool worker's (pool, test_set), set once by the Pool initializer so that
+# tasks carry only seeds and the data is not pickled again for every task
+_worker_data: tuple[Dataset, Dataset] | None = None
+
+
+def _set_worker_data(pool: Dataset, test_set: Dataset) -> None:
+    global _worker_data
+    _worker_data = (pool, test_set)
+
+
+def _worker_task(args: tuple) -> TrainedInstance:
+    return _train_task(*_worker_data, *args)
 
 
 def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
@@ -202,7 +217,7 @@ def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
         data_index = i if mode != "fixed_data_random_init" else 0
         init_index = i if mode != "random_data_fixed_init" else 0
         tasks.append((
-            spec, pool, test_set, size,
+            spec, size,
             substream_seed(base_seed, "data", data_index),
             substream_seed(base_seed, "init", init_index),
             stop,
@@ -210,10 +225,11 @@ def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
     if workers > 1 and k > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(min(workers, k)) as mp:
-            instances = mp.map(_train_task, tasks)
+        with multiprocessing.Pool(min(workers, k), initializer=_set_worker_data,
+                                  initargs=(pool, test_set)) as mp:
+            instances = mp.map(_worker_task, tasks)
     else:
-        instances = [_train_task(t) for t in tasks]
+        instances = [_train_task(pool, test_set, *t) for t in tasks]
     for inst in instances:
         record.add(inst)
     return record

@@ -8,7 +8,10 @@ stop rule's behavior is part of what gets measured.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 import time
 from dataclasses import dataclass, asdict
 from typing import Sequence
@@ -154,6 +157,76 @@ def evaluate_on(model: Model, ds: Dataset) -> float:
     return evaluate(model, clusters, aux, targets)
 
 
+# -- BLAS threads -------------------------------------------------------------------
+
+# (get, set) thread-count symbols: numpy's and scipy's wheels rename them
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def openblas_thread_controls() -> tuple:
+    """(path, get, set) of each OpenBLAS mapped into this process, get and
+    set being its thread-count functions; empty under another BLAS or where
+    /proc/self/maps is missing."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((path, get, set_))
+                break
+    return tuple(controls)
+
+
+class _OneBlasThread:
+    """Holds every OpenBLAS at one thread while any training runs.
+
+    The thread count decides how OpenBLAS splits a matrix product, which can
+    move loss bits, and more threads are slower on the small products here.  The
+    count is process-wide: the first training to enter sets it, the last to
+    leave restores the caller's count.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._active = 0
+        self._saved: list = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._active == 0:
+                self._saved = [(set_, get()) for _, get, set_ in openblas_thread_controls()]
+                for set_, _ in self._saved:
+                    set_(1)
+            self._active += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._active -= 1
+            if self._active == 0:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 # -- the trainer ----------------------------------------------------------------------
 
 
@@ -254,14 +327,15 @@ def train_instance(spec: ModelSpec, train_set: Dataset, eval_set: Dataset,
     stop.validate()
     t0 = time.perf_counter()
     model = Model(spec, init_seed)
-    trace, diverged = fit(
-        model,
-        prepare_arrays(spec, train_set),
-        prepare_arrays(spec, eval_set),
-        stop,
-        substream(init_seed, "shuffle"),
-        spec.batch_size,
-    )
+    with _one_blas_thread:
+        trace, diverged = fit(
+            model,
+            prepare_arrays(spec, train_set),
+            prepare_arrays(spec, eval_set),
+            stop,
+            substream(init_seed, "shuffle"),
+            spec.batch_size,
+        )
     wall = time.perf_counter() - t0
     return TrainedInstance(
         spec_id=spec.spec_id(),

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from rlab.calo import (
-    CELLS, GRID, Dataset, GeneratorConfig, bootstrap_sample, cluster_barycenter,
+    CELLS, GRID, GeneratorConfig, bootstrap_sample, cluster_barycenter,
     cluster_energy_sum, export_csv, generate_dataset, generate_event, load_dataset,
     sample_size_schedule, save_dataset, split_fixed, subsample,
 )

@@ -2,11 +2,13 @@
 
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 import yaml
 
+import rlab
 from rlab.calo import GeneratorConfig, generate_dataset, load_dataset, save_dataset
 from rlab.cli import (
     EXIT_CONFIG,
@@ -121,6 +123,34 @@ class TestTrain:
              "init_seed": 5, "stop": dict(ONE_EPOCH)},
         )
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_DIVERGED
+
+    def test_reports_independent_of_blas_thread_count(self, tmp_path):
+        # model2 on 1,000 events is the smallest training found whose loss
+        # bits moved with the OpenBLAS thread count when nothing pinned it
+        save_dataset(generate_dataset(GeneratorConfig(), 1000, seed=113),
+                     str(tmp_path / "train.rlab"))
+        save_dataset(generate_dataset(GeneratorConfig(), 200, seed=213),
+                     str(tmp_path / "test.rlab"))
+        cfg = write_config(
+            tmp_path / "t.yaml",
+            {"command": "train", "preset": "model2",
+             "train_data": str(tmp_path / "train.rlab"),
+             "test_data": str(tmp_path / "test.rlab"),
+             "init_seed": 13, "stop": dict(ONE_EPOCH)},
+        )
+        src = os.path.dirname(os.path.dirname(rlab.__file__))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "rlab.cli", "train", "--config", cfg, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            reports.append({name: (out / name).read_bytes()
+                            for name in ("instance.json", "trace.csv")})
+        assert reports[0] == reports[1]
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         cfg = write_config(
@@ -283,6 +313,30 @@ class TestSelect:
         assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "'B'" in err
+        assert not (tmp_path / "ledger.json").exists()
+
+    @pytest.mark.parametrize("stderr", ["", "out of memory\nkilled\n"])
+    def test_command_trainer_crash_is_data_error(self, tmp_path, capsys, stderr):
+        script = tmp_path / "trainer.py"
+        script.write_text(
+            "import json, sys\n"
+            "spec = json.load(sys.stdin)\n"
+            "if spec['name'] == 'B':\n"
+            f"    sys.stderr.write({stderr!r})\n"
+            "    sys.exit(7)\n"
+            "print(1.0)\n"
+        )
+        body = {
+            "command": "select",
+            "specs": [tiny_spec_dict("A"), tiny_spec_dict("B")],
+            "trainer": {"kind": "command", "argv": [sys.executable, str(script)]},
+            "k": 2,
+        }
+        cfg = write_config(tmp_path / "s.yaml", body)
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "'B'" in err and "exited 7" in err and repr(stderr) in err
         assert not (tmp_path / "ledger.json").exists()
 
     def test_nonpositive_k_is_config_error(self, tmp_path):

@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 import rlab.nn
 from rlab.errors import CatalogueError, ContractError, ShapeError
 from rlab.nn import (
-    ACTIVATIONS, AUX_WIDTHS, Model, ModelSpec, SearchSpace, activation_value,
+    ACTIVATIONS, Model, ModelSpec, SearchSpace, activation_value,
     elu, enumerate_search_space, feature_shapes, gelu, he_init, leaky_relu,
     param_count, prelu, preset_spec, reference_search_space, relu, sigmoid, tanh,
 )
-from rlab.optim import OptimizerConfig
 from rlab.tensor import Tensor, finite_diff_check
 
 # Independently recomputed totals for the four reference configurations.

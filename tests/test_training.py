@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rlab.training
 from rlab.calo import GeneratorConfig, generate_dataset
 from rlab.errors import ContractError
 from rlab.nn import Model, ModelSpec
@@ -20,6 +24,7 @@ from rlab.training import (
     evaluate_on,
     fit,
     loss_value,
+    openblas_thread_controls,
     prepare_arrays,
     relative_rmse,
     rmse_coordinate,
@@ -337,3 +342,78 @@ class TestTrainInstance:
         assert inst.final_test_loss == math.inf
         assert inst.loss_trace[-1] == math.inf
         assert inst.stop_epoch == len(inst.loss_trace)
+
+
+def _numpy_blas_name() -> str:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+needs_openblas = pytest.mark.skipif("openblas" not in _numpy_blas_name(),
+                                    reason="numpy's BLAS is not OpenBLAS")
+
+
+class TestBlasThreads:
+    @needs_openblas
+    def test_training_runs_on_one_blas_thread(self, small_sets, monkeypatch):
+        controls = openblas_thread_controls()
+        assert controls, "no OpenBLAS thread-count functions found"
+        wheel_libs = os.path.dirname(np.__file__) + ".libs"
+        if os.path.isdir(wheel_libs):       # numpy's wheel bundles its OpenBLAS here
+            assert any(os.path.dirname(path) == wheel_libs for path, _, _ in controls)
+        inside = []
+
+        def recording_fit(*args, **kwargs):
+            inside.append([get() for _, get, _ in controls])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(rlab.training, "fit", recording_fit)
+        saved = [get() for _, get, _ in controls]
+        try:
+            for _, _, set_ in controls:
+                set_(2)
+            caller = [get() for _, get, _ in controls]
+            train_instance(tiny_spec(), *small_sets, init_seed=9,
+                           stop=TestTrainInstance.STOP)
+            assert inside == [[1] * len(controls)]
+            assert [get() for _, get, _ in controls] == caller
+        finally:
+            for (_, _, set_), count in zip(controls, saved):
+                set_(count)
+
+    @needs_openblas
+    def test_concurrent_trainings_keep_one_thread(self):
+        controls = openblas_thread_controls()
+        saved = [get() for _, get, _ in controls]
+        switch = sys.getswitchinterval()
+        seen = set()
+
+        def training():
+            for _ in range(3000):
+                with rlab.training._one_blas_thread:
+                    seen.update(get() for _, get, _ in controls)
+
+        threads = [threading.Thread(target=training) for _ in range(4)]
+        try:
+            for _, _, set_ in controls:
+                set_(2)
+            caller = [get() for _, get, _ in controls]
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == {1}
+            assert [get() for _, get, _ in controls] == caller
+        finally:
+            sys.setswitchinterval(switch)
+            for (_, _, set_), count in zip(controls, saved):
+                set_(count)
+
+    def test_no_openblas_found_trains_unchanged(self, small_sets, monkeypatch):
+        expected = train_instance(tiny_spec(), *small_sets, init_seed=9,
+                                  stop=TestTrainInstance.STOP)
+        monkeypatch.setattr(rlab.training, "openblas_thread_controls", lambda: ())
+        got = train_instance(tiny_spec(), *small_sets, init_seed=9,
+                             stop=TestTrainInstance.STOP)
+        assert got.loss_trace == expected.loss_trace
