@@ -282,7 +282,11 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Inverse of save_dataset; any inconsistency raises DatasetFormatError."""
+    """Inverse of save_dataset; any inconsistency raises DatasetFormatError.
+
+    So does an invalid generator config, a non-finite value or an energy
+    that is not above 0: the first bad event is named.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 10 or raw[:4] != MAGIC:
@@ -301,6 +305,10 @@ def load_dataset(path: str) -> Dataset:
         raise DatasetFormatError(f"{path}: bad provenance block: {e}") from None
     if not isinstance(meta, dict) or "generator" not in meta:
         raise DatasetFormatError(f"{path}: provenance block has no generator config")
+    try:
+        cfg = GeneratorConfig.from_dict(meta["generator"])
+    except (TypeError, ValueError) as e:
+        raise DatasetFormatError(f"{path}: bad generator config: {e}") from None
     if meta_end + 8 > len(payload):
         raise DatasetFormatError(f"{path}: event count lies past the payload end")
     (count,) = struct.unpack_from("<Q", payload, meta_end)
@@ -309,7 +317,12 @@ def load_dataset(path: str) -> Dataset:
     if len(body) != expected:
         raise DatasetFormatError(f"{path}: expected {expected} event bytes, found {len(body)}")
     m = np.frombuffer(body, dtype="<f8").reshape(count, _EVENT_WIDTH).astype(np.float64)
-    cfg = GeneratorConfig.from_dict(meta["generator"])
+    finite = np.isfinite(m).all(axis=1)
+    bad = ~finite | ~(m[:, CELLS] > 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "a non-finite value" if not finite[i] else f"energy {m[i, CELLS]!r}, not above 0"
+        raise DatasetFormatError(f"{path}: event {i} holds {what}")
     return Dataset(m[:, :CELLS].reshape(count, GRID, GRID), m[:, CELLS], m[:, CELLS + 1],
                    m[:, CELLS + 2], m[:, CELLS + 3], m[:, CELLS + 4], cfg,
                    seed=meta.get("seed"))

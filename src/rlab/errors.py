@@ -25,7 +25,8 @@ class DivergenceError(FloatingPointError):
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file is unreadable: bad magic, version, truncation, or checksum."""
+    """A dataset file is unreadable (bad magic, version, truncation, checksum)
+    or holds values no generator writes (non-finite, energy not above 0)."""
 
 
 class DegenerateFitError(ValueError):

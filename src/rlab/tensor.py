@@ -6,10 +6,13 @@ once in reverse topological order.  All storage is 64-bit; forward passes
 are bit-deterministic for identical inputs.
 
 Layer ops take batched input only: feature maps [N,C,H,W], vectors [N,n].
+Inside `no_grad()` the same ops run but record nothing, in that thread only.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,6 +20,28 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 Array = np.ndarray
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops run inside the block, in the calling thread only, record no graph."""
+    prev, _grad_mode.enabled = _grad_mode.enabled, False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
+
+def _records(*parents: "Tensor") -> bool:
+    """Whether an op on these parents records a graph node."""
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
 
 
 class Tensor:
@@ -38,7 +63,7 @@ class Tensor:
     def _result(data: Array, parents: tuple["Tensor", ...], op: str,
                 vjp: Callable[[Array], None]) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _records(*parents):
             out.requires_grad = True
             out.op = op
             out._parents = parents
@@ -252,17 +277,12 @@ def _im2col(x: Array, kh: int, kw: int) -> tuple[Array, int, int]:
     return cols, ho, wo
 
 
-def _corr2d(x: Array, kern: Array) -> tuple[Array, Array]:
-    o, c, kh, kw = kern.shape
-    cols, ho, wo = _im2col(x, kh, kw)
-    out = cols @ kern.reshape(o, c * kh * kw).T
-    return out.reshape(x.shape[0], ho, wo, o).transpose(0, 3, 1, 2), cols
-
-
 def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     """Valid cross-correlation, stride 1, no bias.
 
     x: [N,C_in,H,W]; kernels: [C_out,C_in,kh,kw] -> [N,C_out,H-kh+1,W-kw+1].
+    The input gradient is one product with the kernel matrix, whose kh*kw
+    column blocks are added back onto the input (col2im) in row-major order.
     """
     if kernels.data.ndim != 4:
         raise ShapeError(f"kernels must be rank 4, got rank {kernels.data.ndim}")
@@ -275,51 +295,85 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     if kh > xd.shape[2] or kw > xd.shape[3]:
         raise ShapeError(f"kernel {kh}x{kw} larger than input {xd.shape[2]}x{xd.shape[3]}")
 
-    out, cols = _corr2d(xd, kernels.data)
+    n = xd.shape[0]
+    cols, ho, wo = _im2col(xd, kh, kw)
+    out = cols @ kernels.data.reshape(co, ci * kh * kw).T
+    # channels-last in memory; the kernel gradient reads g in that layout
+    out = out.reshape(n, ho, wo, co).transpose(0, 3, 1, 2)
 
-    def vjp(g, x=x, kernels=kernels, cols=cols, co=co, kh=kh, kw=kw):
+    def vjp(g, x=x, kernels=kernels, cols=cols):
+        gm = g.transpose(0, 2, 3, 1).reshape(-1, co)
         if kernels.requires_grad:
-            gm = g.transpose(0, 2, 3, 1).reshape(-1, co)
             kernels._accum((gm.T @ cols).reshape(kernels.data.shape))
         if x.requires_grad:
-            gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            kt = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx, _ = _corr2d(gp, np.ascontiguousarray(kt))
-            x._accum(dx)
+            # dcols columns ordered (di, dj, c): each offset's block is one [N,H',W',C] slab
+            kmat = kernels.data.transpose(0, 2, 3, 1).reshape(co, kh * kw * ci)
+            dcols = (gm @ kmat).reshape(n, ho, wo, kh, kw, ci)
+            dx = np.zeros((n, xd.shape[2], xd.shape[3], ci))
+            for di in range(kh):
+                for dj in range(kw):
+                    dx[:, di:di + ho, dj:dj + wo] += dcols[:, :, :, di, dj]
+            x._accum(dx.transpose(0, 3, 1, 2))
 
     return Tensor._result(out, (x, kernels), "conv2d", vjp)
+
+
+_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
+
+
+def _pool_views(a: Array, window: int, stride: int, ho: int, wo: int) -> list[Array]:
+    # one strided [N,C,H',W'] view of a per window offset, offsets row-major
+    hi, wi = stride * (ho - 1) + 1, stride * (wo - 1) + 1
+    return [a[:, :, i:i + hi:stride, j:j + wi:stride]
+            for i in range(window) for j in range(window)]
 
 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     """Square max pooling of x [N,C,H,W], floor output size.
 
-    Gradient routes to the first maximal element of each window in row-major
-    order; overlapping windows accumulate.
+    Each window yields its first maximal element in row-major order, or its
+    first NaN; the gradient routes there, and overlapping windows accumulate.
     """
     if window < 1 or stride < 1:
         raise ContractError(f"window and stride must be >= 1, got {window}, {stride}")
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"input must be rank 4, got rank {xd.ndim}")
-    n, c, h, w = xd.shape
+    h, w = xd.shape[2:]
     if window > h or window > w:
         raise ShapeError(f"window {window} larger than spatial axes {h}x{w}")
 
-    win = np.lib.stride_tricks.sliding_window_view(xd, (window, window), axis=(2, 3))
-    win = win[:, :, ::stride, :: stride]
-    ho, wo = win.shape[2], win.shape[3]
-    flat = win.reshape(n, c, ho, wo, window * window)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
+    views = _pool_views(xd, window, stride, ho, wo)
+    track = _records(x)
+    has_nan = np.isnan(np.max(xd))
+    # np.maximum returns the first maximum except between -0.0 and 0.0, whose
+    # int64 view is the minimum, or among NaNs; there, select by `better`
+    exact = has_nan or xd.view(np.int64).min() == _NEG_ZERO_BITS
+    out = views[0].copy(order="K")
+    arg = np.zeros_like(out, np.min_scalar_type(len(views) - 1)) if track else None
+    for k, v in enumerate(views[1:], 1):
+        if track or exact:
+            better = v > out            # strict: the earlier of equal values stays
+            if has_nan:
+                better |= np.isnan(v) & ~np.isnan(out)
+        if exact:
+            out = np.where(better, v, out)
+        else:
+            np.maximum(out, v, out=out)
+        if track:                       # k only grows, so max is an update
+            np.maximum(arg, better * arg.dtype.type(k), out=arg)
 
-    def vjp(g, x=x, idx=idx, shape=(n, c, h, w), window=window, stride=stride):
-        if not x.requires_grad:
-            return
-        ni, ci, oi, oj = np.indices(idx.shape)
-        src_i = oi * stride + idx // window
-        src_j = oj * stride + idx % window
-        dx = np.zeros(shape)
-        np.add.at(dx, (ni, ci, src_i, src_j), g)
+    def vjp(g, x=x, arg=arg):
+        dx = np.zeros_like(xd)
+        dviews = _pool_views(dx, window, stride, ho, wo)
+        # a finite g times a miss is a signed zero, which leaves any sum that
+        # starts at 0.0 unchanged
+        finite = np.isfinite(np.sum(g))
+        # later offsets first: np.add.at's order where windows overlap
+        for k in reversed(range(len(dviews))):
+            hit = arg == k
+            dviews[k] += g * hit if finite else np.where(hit, g, 0.0)
         x._accum(dx)
 
     return Tensor._result(out, (x,), "maxpool2d", vjp)

@@ -23,7 +23,7 @@ from .errors import ContractError, DivergenceError
 from .nn import Model, ModelSpec
 from .optim import make_optimizer
 from .seeding import substream
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 EVAL_BATCH = 512
 
@@ -131,24 +131,19 @@ def prepare_arrays(spec: ModelSpec, ds: Dataset) -> tuple[np.ndarray, np.ndarray
     return clusters, aux, np.asarray(targets, dtype=np.float64)
 
 
-def _predict(model: Model, clusters: np.ndarray, aux: np.ndarray | None,
-             idx: np.ndarray | None = None) -> np.ndarray:
-    if idx is not None:
-        clusters = clusters[idx]
-        aux = aux[idx] if aux is not None else None
-    out = model.forward(Tensor(clusters), Tensor(aux) if aux is not None else None)
-    return out.data
-
-
 def evaluate(model: Model, clusters: np.ndarray, aux: np.ndarray | None,
              targets: np.ndarray) -> float:
-    """Whole-set loss in fixed-size chunks; chunking keeps the FP order stable."""
+    """Whole-set loss in fixed-size chunks; chunking keeps the FP order stable.
+
+    The forward passes record no graph, and only in the calling thread.
+    """
     n = len(targets)
     preds = np.empty(n)
-    for start in range(0, n, EVAL_BATCH):
-        stop = min(start + EVAL_BATCH, n)
-        idx = np.arange(start, stop)
-        preds[start:stop] = _predict(model, clusters, aux, idx)
+    with no_grad():
+        for start in range(0, n, EVAL_BATCH):
+            chunk = slice(start, start + EVAL_BATCH)
+            a = Tensor(aux[chunk]) if aux is not None else None
+            preds[chunk] = model.forward(Tensor(clusters[chunk]), a).data
     return loss_value(model.spec.target, preds, targets)
 
 

@@ -2,9 +2,12 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 
+import numpy as np
 import pytest
 import yaml
 
@@ -171,6 +174,65 @@ class TestTrain:
              "test_data": test, "init_seed": 5},
         )
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_DATA
+
+
+class TestDatasetValues:
+    """Files written by save_dataset, so with a valid CRC, but holding values
+    that no generator writes: each is a data error naming the file and event."""
+
+    @staticmethod
+    def train(tmp_path, train, test):
+        cfg = write_config(
+            tmp_path / "t.yaml",
+            {"command": "train", "spec": tiny_spec_dict(), "train_data": train,
+             "test_data": test, "init_seed": 5, "stop": dict(ONE_EPOCH)},
+        )
+        return main(["train", "--config", cfg, "--out", str(tmp_path)])
+
+    @staticmethod
+    def edited(tmp_path, source, edit, generator=None):
+        ds = load_dataset(source)
+        edit(ds)
+        path = str(tmp_path / "edited.rlab")
+        save_dataset(ds, path)
+        if generator is not None:      # rewrite the provenance block and its CRC
+            raw = open(path, "rb").read()
+            payload = raw[6:-4]
+            (blob_len,) = struct.unpack_from("<I", payload, 0)
+            blob = json.dumps({"generator": generator, "seed": ds.seed}).encode()
+            payload = struct.pack("<I", len(blob)) + blob + payload[4 + blob_len:]
+            open(path, "wb").write(raw[:6] + payload + struct.pack("<I", zlib.crc32(payload)))
+        return path
+
+    def test_nan_cell_in_test_set(self, tmp_path, data_files, capsys):
+        train, test = data_files
+        bad = self.edited(tmp_path, test, lambda ds: ds.clusters.__setitem__((7, 3, 4), np.nan))
+        assert self.train(tmp_path, train, bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert bad in err and "event 7 " in err and "non-finite" in err
+
+    def test_infinite_energy_in_training_set(self, tmp_path, data_files, capsys):
+        train, test = data_files
+        bad = self.edited(tmp_path, train, lambda ds: ds.energy.__setitem__(5, np.inf))
+        assert self.train(tmp_path, bad, test) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert bad in err and "event 5 " in err and "non-finite" in err
+
+    def test_zero_energy_in_test_set(self, tmp_path, data_files, capsys):
+        train, test = data_files
+        bad = self.edited(tmp_path, test, lambda ds: ds.energy.__setitem__(9, 0.0))
+        assert self.train(tmp_path, train, bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert bad in err and "event 9 " in err and "not above 0" in err
+
+    @pytest.mark.parametrize("change", [{"energy_range": [5, 1]}, {"colour": "red"}])
+    def test_invalid_generator_block(self, tmp_path, data_files, capsys, change):
+        train, test = data_files
+        generator = dict(GeneratorConfig().to_dict(), **change)
+        bad = self.edited(tmp_path, test, lambda ds: None, generator)
+        assert self.train(tmp_path, train, bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert bad in err and "generator" in err
 
 
 def robustness_config(train, test, **extra):

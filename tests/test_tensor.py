@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rlab.errors import ContractError, ShapeError
 from rlab.tensor import (
@@ -101,6 +103,107 @@ class TestMaxPool:
     def test_invalid_window(self):
         with pytest.raises(ContractError):
             maxpool2d(Tensor(np.zeros((1, 1, 4, 4))), 0, 1)
+
+
+def maxpool_reference(xd, window, stride, g):
+    """(values, input gradient for output gradient g) of the argmax /
+    np.add.at pooling that maxpool2d's strided running max replaced."""
+    n, c, h, w = xd.shape
+    win = sliding_window_view(xd, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2], win.shape[3]
+    flat = win.reshape(n, c, ho, wo, window * window)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    ni, ci, oi, oj = np.indices(idx.shape)
+    dx = np.zeros(xd.shape)
+    np.add.at(dx, (ni, ci, oi * stride + idx // window, oj * stride + idx % window), g)
+    return out, dx
+
+
+def bits(a):
+    """The raw bytes of a: equal bits, not just equal values (-0.0, NaN)."""
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+# tie-heavy values: small integers and signed zeros, plus the non-finite ones
+_POOL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan]),
+    st.floats(-4.0, 4.0))
+
+
+@st.composite
+def pool_cases(draw):
+    window, stride = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+             draw(st.integers(window, window + 6)), draw(st.integers(window, window + 6)))
+    x = draw(st.one_of(arrays(np.float64, shape, elements=_POOL_VALUES),
+                       st.just(np.zeros(shape))))
+    if draw(st.booleans()):        # channels-last in memory, as conv2d writes it
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    g_shape = (shape[0], shape[1], (shape[2] - window) // stride + 1,
+               (shape[3] - window) // stride + 1)
+    g = draw(arrays(np.float64, g_shape,
+                    elements=st.sampled_from([1.0, -0.5, 3.0, -0.0, 1e-3, np.inf, np.nan])))
+    return x, window, stride, g
+
+
+class TestMaxPoolOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(case=pool_cases())
+    def test_bitwise_equal_to_argmax_reference(self, case):
+        x, window, stride, g = case
+        want_out, want_dx = maxpool_reference(x, window, stride, g)
+        t = Tensor(x, requires_grad=True)
+        out = maxpool2d(t, window, stride)
+        assert bits(out.data) == bits(want_out)
+        with np.errstate(invalid="ignore"):     # inf * 0 in the loss; g is what counts
+            (out * Tensor(g)).sum().backward()
+        assert bits(t.grad) == bits(want_dx)
+
+    def test_nan_wins_its_window(self):
+        x = Tensor(np.array([[[[1.0, 5.0], [np.nan, 7.0]]]]), requires_grad=True)
+        out = maxpool2d(x, 2, 2)
+        assert np.isnan(out.data).all()
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, [[[[0.0, 0.0], [1.0, 0.0]]]])
+
+    def test_output_keeps_channels_last_layout(self):
+        x = np.zeros((2, 13, 13, 8)).transpose(0, 3, 1, 2)
+        t = Tensor(x, requires_grad=True)
+        out = maxpool2d(t, 2, 2)
+        assert np.argsort(out.data.strides).tolist() == np.argsort(x.strides).tolist()
+        out.sum().backward()
+        assert np.argsort(t.grad.strides).tolist() == np.argsort(x.strides).tolist()
+
+
+def conv_input_grad_reference(g, kern):
+    """The full correlation of the zero-padded output gradient with the
+    flipped kernels that conv2d's col2im input gradient replaced."""
+    o, c, kh, kw = kern.shape
+    gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    kt = np.ascontiguousarray(kern[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    win = sliding_window_view(gp, (kh, kw), axis=(2, 3))
+    n, _, ho, wo = win.shape[:4]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, o * kh * kw)
+    out = cols @ kt.reshape(c, o * kh * kw).T
+    return out.reshape(n, ho, wo, c).transpose(0, 3, 1, 2)
+
+
+class TestConvInputGradOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 5), cin=st.integers(1, 8), cout=st.integers(1, 8),
+           n=st.integers(1, 4), extra=st.integers(0, 4), seed=st.integers(0, 10_000))
+    def test_col2im_matches_full_correlation(self, k, cin, cout, n, extra, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(n, cin, k + extra, k + extra + 1)), requires_grad=True)
+        kern = rng.normal(size=(cout, cin, k, k))
+        out = conv2d(x, Tensor(kern))
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        want = conv_input_grad_reference(g, kern)
+        # rtol 1e-12 of the summed magnitudes, so cancellation cannot fail it
+        scale = conv_input_grad_reference(np.abs(g), np.abs(kern))
+        assert np.all(np.abs(x.grad - want) <= 1e-12 * scale)
 
 
 class TestLinear:

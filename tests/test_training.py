@@ -16,6 +16,7 @@ from rlab.errors import ContractError
 from rlab.nn import Model, ModelSpec
 from rlab.optim import OptimizerConfig
 from rlab.seeding import substream
+from rlab.tensor import Tensor
 from rlab.training import (
     EVAL_BATCH,
     EarlyStopConfig,
@@ -242,6 +243,54 @@ class TestEvaluate:
         spec = tiny_spec()
         model = Model(spec, init_seed=2)
         assert evaluate_on(model, test) == evaluate(model, *prepare_arrays(spec, test))
+
+
+class TestGraphFreeEvaluation:
+    def test_records_no_graph_and_matches_graph_forward(self):
+        ds = generate_dataset(GeneratorConfig(), EVAL_BATCH + 5, seed=7)
+        spec = tiny_spec(aux="energy_sum")
+        model = Model(spec, init_seed=4)
+        clusters, aux, targets = prepare_arrays(spec, ds)
+        forward, outputs = model.forward, []
+        model.forward = lambda *args: outputs.append(forward(*args)) or outputs[-1]
+        got = evaluate(model, clusters, aux, targets)
+        assert len(outputs) == 2
+        assert all(not out.requires_grad and out._parents == () for out in outputs)
+        assert all(p.grad is None for p in model.parameters())
+
+        graphed = [forward(Tensor(clusters[s:s + EVAL_BATCH]), Tensor(aux[s:s + EVAL_BATCH]))
+                   for s in (0, EVAL_BATCH)]
+        assert all(out.requires_grad for out in graphed)
+        preds = np.concatenate([out.data for out in graphed])
+        assert got == loss_value("energy", preds, targets)
+
+    def test_evaluate_in_another_thread_leaves_fit_unchanged(self, small_sets):
+        # the no-graph switch is per thread: a process-wide one would strip
+        # the graph from fit's forward passes while the other thread evaluates
+        train, test = small_sets
+        spec = tiny_spec()
+        stop = EarlyStopConfig(min_epochs=3, window=1, threshold=1e9, hard_cap=3)
+        serial = train_instance(spec, train, test, init_seed=8, stop=stop).loss_trace
+        other, arrays = Model(spec, init_seed=9), prepare_arrays(spec, test)
+        done, evaluations = threading.Event(), []
+
+        def evaluate_until_done():
+            while not done.is_set():
+                evaluations.append(evaluate(other, *arrays))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        worker = threading.Thread(target=evaluate_until_done)
+        worker.start()
+        try:
+            threaded = train_instance(spec, train, test, init_seed=8, stop=stop).loss_trace
+        finally:
+            done.set()
+            worker.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert len(evaluations) > 1
+        assert threaded == serial
 
 
 def _freeze_all_but_last_bias(model):
