@@ -7,4 +7,4 @@ selection on top of those summaries.  Everything is float64 and
 deterministically seeded; reruns of a stored config reproduce outputs bitwise.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -9,6 +9,7 @@ JSON keys are sorted.  Worker count changes elapsed time, nothing else.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -20,14 +21,16 @@ from dataclasses import dataclass
 
 import yaml
 
-from .calo import GeneratorConfig, bootstrap_sample, generate_dataset, load_dataset, save_dataset
-from .errors import ConfigError, ContractError, DatasetFormatError
+# bootstrap_sample is not called here; perfbench traces rlab.cli.bootstrap_sample
+from .calo import GeneratorConfig, bootstrap_sample, generate_dataset, load_dataset, save_dataset  # noqa: F401
+from .errors import ConfigError, ContractError, DatasetFormatError, WorkerLostError
 from .nn import (ModelSpec, SearchSpace, TARGETS, enumerate_search_space,
                  preset_spec, reference_search_space)
 from .robustness import (
     STAT_KEYS,
     BaselineGatePolicy,
     HalvingPolicy,
+    InstanceRunner,
     SelectionCriterion,
     criterion_study,
     run_instances,
@@ -40,7 +43,7 @@ from .training import EarlyStopConfig, train_instance
 
 EXIT_OK = 0
 EXIT_CONFIG = 2          # malformed or contradictory configuration
-EXIT_DATA = 3            # missing or corrupt input files
+EXIT_DATA = 3            # missing or corrupt input files, failed trainer, lost worker
 EXIT_DIVERGED = 4        # the run finished but produced only diverged losses
 
 COMMANDS = ("gen-data", "train", "robustness", "select", "sweep", "report")
@@ -240,7 +243,14 @@ def _specs_from(body: dict) -> list[ModelSpec]:
     raise ConfigError("need a 'specs' list or a 'search_space' block")
 
 
-def _trainer_from(body: dict):
+@contextlib.contextmanager
+def _trainer_from(body: dict, workers: int):
+    """Yields (trainer, how many of its calls may run at once).
+
+    The mock trainer does no real work and stays serial; the external
+    commands run side by side; the instances trainer hands each training to
+    a worker process, so its calls run in parallel on threads that wait.
+    """
     d = _require(body, "trainer")
     kind = d.get("kind")
     if kind == "mock":
@@ -257,8 +267,8 @@ def _trainer_from(body: dict):
 
             return base + float(np.random.default_rng(seed).normal(0.0, noise))
 
-        return mock_trainer
-    if kind == "command":
+        yield mock_trainer, 1
+    elif kind == "command":
         argv = [str(a) for a in _require(d, "argv")]
 
         def command_trainer(spec, round_index, seed):
@@ -281,24 +291,22 @@ def _trainer_from(body: dict):
                                          f"{spec.name!r}: {proc.stdout!r}")
             return loss
 
-        return command_trainer
-    if kind == "instances":
+        yield command_trainer, workers
+    elif kind == "instances":
         pool = load_dataset(_require(d, "train_data"))
         test_set = load_dataset(_require(d, "test_data"))
         stop = _stop_from(d)
-        sample_size = d.get("sample_size")
+        size = len(pool) if d.get("sample_size") is None else int(d["sample_size"])
 
-        def instance_trainer(spec, round_index, seed):
-            size = len(pool) if sample_size is None else int(sample_size)
-            data_seed = substream_seed(seed, "data")
-            train_set = bootstrap_sample(pool, size, seed=data_seed)
-            inst = train_instance(spec, train_set, test_set,
-                                  substream_seed(seed, "init"),
-                                  stop=stop, data_seed=data_seed)
-            return inst.final_test_loss
+        with InstanceRunner(pool, test_set, workers) as runner:
+            def instance_trainer(spec, round_index, seed):
+                task = (spec, size, substream_seed(seed, "data"), substream_seed(seed, "init"),
+                        stop)
+                return runner.train([task])[0].final_test_loss
 
-        return instance_trainer
-    raise ConfigError(f"unknown trainer kind {kind!r}")
+            yield instance_trainer, workers
+    else:
+        raise ConfigError(f"unknown trainer kind {kind!r}")
 
 
 def cmd_select(body: dict, out_dir: str, seed_override: int | None, workers: int) -> int:
@@ -307,14 +315,17 @@ def cmd_select(body: dict, out_dir: str, seed_override: int | None, workers: int
     if k < 1:
         raise ConfigError("k must be >= 1")
     base_seed = seed_override if seed_override is not None else int(body.get("base_seed", 0))
-    winners, ledger = select_models(
-        specs,
-        criterion=_criterion_from(body.get("criterion", {})),
-        policy=_policy_from(body),
-        trainer=_trainer_from(body),
-        max_rounds=int(body.get("max_rounds", 50)),
-        base_seed=base_seed,
-    )
+    criterion, policy = _criterion_from(body.get("criterion", {})), _policy_from(body)
+    with _trainer_from(body, workers) as (trainer, concurrency):
+        winners, ledger = select_models(
+            specs,
+            criterion=criterion,
+            policy=policy,
+            trainer=trainer,
+            max_rounds=int(body.get("max_rounds", 50)),
+            base_seed=base_seed,
+            workers=concurrency,
+        )
     _write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
     _write_json(
         os.path.join(out_dir, "winners.json"),
@@ -420,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="YAML experiment config")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: RLAB_WORKERS or 1)")
+                        help="worker processes for robustness and sweep, and trainings "
+                             "run at once in a select round; the mock trainer stays serial "
+                             "(default: RLAB_WORKERS or 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's seed")
     parser.add_argument("--out", default=None,
@@ -458,6 +471,9 @@ def main(argv: list[str] | None = None) -> int:
         return HANDLERS[config.command](dict(config.body), out_dir, args.seed, workers)
     except DatasetFormatError as e:
         print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except WorkerLostError as e:
+        print(f"worker error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ContractError, ValueError, KeyError, TypeError) as e:
         print(f"config error: {e}", file=sys.stderr)

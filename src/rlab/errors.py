@@ -29,6 +29,10 @@ class DatasetFormatError(ValueError):
     or holds values no generator writes (non-finite, energy not above 0)."""
 
 
+class WorkerLostError(RuntimeError):
+    """A worker process died (killed, out of memory) before it returned a training."""
+
+
 class DegenerateFitError(ValueError):
     """A fit has no solution on the given data (e.g. all-zero clusters)."""
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import CatalogueError, ContractError, ShapeError
 from .optim import OptimizerConfig
@@ -42,9 +41,21 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # -- activations ---------------------------------------------------------------
 
 
+# scipy.special is imported when sigmoid or gelu first runs, not with the
+# package: it costs each process about 20 MB and its own OpenBLAS
+def _expit(x):
+    from scipy.special import expit
+    return expit(x)
+
+
+def _erf(x):
+    from scipy.special import erf
+    return erf(x)
+
+
 # kind -> (value(x), gradient(g, x, y)) on raw arrays, y the value at x
 _ELEMENTWISE = {
-    "sigmoid": (expit, lambda g, x, y: g * y * (1.0 - y)),
+    "sigmoid": (_expit, lambda g, x, y: g * y * (1.0 - y)),
     "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
     "relu": (lambda x: np.where(x > 0.0, x, 0.0), lambda g, x, y: g * (x > 0.0)),
     "leaky_relu": (lambda x: np.where(x > 0.0, x, LEAKY_SLOPE * x),
@@ -52,8 +63,8 @@ _ELEMENTWISE = {
     "elu": (lambda x: np.where(x > 0.0, x, np.expm1(x)),
             lambda g, x, y: g * np.where(x > 0.0, 1.0, y + 1.0)),
     # exact form: x * Phi(x), not the tanh fit
-    "gelu": (lambda x: x * (0.5 * (1.0 + erf(x * _INV_SQRT2))),
-             lambda g, x, y: g * (0.5 * (1.0 + erf(x * _INV_SQRT2))
+    "gelu": (lambda x: x * (0.5 * (1.0 + _erf(x * _INV_SQRT2))),
+             lambda g, x, y: g * (0.5 * (1.0 + _erf(x * _INV_SQRT2))
                                   + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI))),
 }
 

@@ -11,13 +11,16 @@ training budget.
 from __future__ import annotations
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .calo import Dataset, bootstrap_sample, subsample
-from .errors import ContractError
+from .errors import ContractError, WorkerLostError
 from .nn import ModelSpec
 from .seeding import substream_seed
 from .training import EarlyStopConfig, TrainedInstance, train_instance
@@ -177,8 +180,8 @@ def _train_task(pool: Dataset, test_set: Dataset, spec: ModelSpec, size: int,
                           stop=stop, data_seed=data_seed)
 
 
-# a pool worker's (pool, test_set), set once by the Pool initializer so that
-# tasks carry only seeds and the data is not pickled again for every task
+# a pool worker's (pool, test_set), set once by the executor's initializer so
+# that tasks carry only seeds and the data is not pickled again for every task
 _worker_data: tuple[Dataset, Dataset] | None = None
 
 
@@ -189,6 +192,49 @@ def _set_worker_data(pool: Dataset, test_set: Dataset) -> None:
 
 def _worker_task(args: tuple) -> TrainedInstance:
     return _train_task(*_worker_data, *args)
+
+
+class InstanceRunner:
+    """Trains instances on bootstrap draws of one pool, each scored on one test set.
+
+    A task is (spec, sample size, data seed, init seed, stop rule).  With one
+    worker the trainings run in this process.  With more they run on a
+    fork-started process pool whose workers receive the data once, through
+    the initializer.  The workers are forked in the constructor, before any
+    thread of the caller's starts; leaving the `with` block joins and reaps
+    them.  Any number of threads may call `train` at once.
+    """
+
+    def __init__(self, pool: Dataset, test_set: Dataset, workers: int = 1):
+        self.pool, self.test_set = pool, test_set
+        self._executor = None
+        if workers > 1:
+            self._executor = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_worker_data, initargs=(pool, test_set))
+            self._executor.submit(int).result()     # the first submit forks every worker
+
+    def __enter__(self) -> "InstanceRunner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+
+    def train(self, tasks: Sequence[tuple]) -> list[TrainedInstance]:
+        """The trained instances, in task order.  A worker that dies (killed,
+        out of memory) ends the call with WorkerLostError; nothing is retried."""
+        if self._executor is None:
+            return [_train_task(self.pool, self.test_set, *t) for t in tasks]
+        instances = []
+        try:
+            futures = [self._executor.submit(_worker_task, t) for t in tasks]
+            for future in futures:
+                instances.append(future.result())
+        except BrokenProcessPool:
+            raise WorkerLostError(f"a worker process died; the training of spec "
+                                  f"{tasks[len(instances)][0].name!r} was lost") from None
+        return instances
 
 
 def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
@@ -222,14 +268,8 @@ def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
             substream_seed(base_seed, "init", init_index),
             stop,
         ))
-    if workers > 1 and k > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(workers, k), initializer=_set_worker_data,
-                                  initargs=(pool, test_set)) as mp:
-            instances = mp.map(_worker_task, tasks)
-    else:
-        instances = [_train_task(pool, test_set, *t) for t in tasks]
+    with InstanceRunner(pool, test_set, min(workers, k)) as runner:
+        instances = runner.train(tasks)
     for inst in instances:
         record.add(inst)
     return record
@@ -324,9 +364,20 @@ class SelectionLedger:
         }
 
 
+def _round_losses(trainer: TrainerFn, calls: list[tuple], workers: int):
+    """The trainer's results for one round's (spec, round, seed) calls, in call
+    order.  With workers > 1 the calls run on that many threads; the first
+    failure in call order is raised once the running calls have ended, and
+    the calls not yet started are dropped."""
+    if workers <= 1:
+        return (trainer(*call) for call in calls)
+    with ThreadPoolExecutor(min(workers, len(calls))) as threads:
+        return list(threads.map(trainer, *zip(*calls)))
+
+
 def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
                   policy, trainer: TrainerFn,
-                  max_rounds: int = 50, base_seed: int = 0,
+                  max_rounds: int = 50, base_seed: int = 0, workers: int = 1,
                   ) -> tuple[list[ModelSpec], SelectionLedger]:
     """Tournament over specs: one new instance per survivor per round, then the
     policy removes by criterion value.
@@ -334,6 +385,11 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
     Stops at a single survivor or after max_rounds.  If the policy tries to
     remove every survivor at once, nobody is removed, the tie flag is set, and
     the run ends with the full tied set.
+
+    With workers > 1 a round's trainer calls run on that many threads of this
+    process; their losses are collected in survivor order, so the outcome does
+    not depend on the worker count.  A failing call raises once the calls
+    before it have returned: the first failure in survivor order, as serially.
     """
     specs = list(specs)
     if not specs:
@@ -350,9 +406,10 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
     for round_index in range(1, max_rounds + 1):
         if len(survivors) <= 1:
             break
-        for pos in survivors:
-            seed = substream_seed(base_seed, ids[pos], "round", round_index)
-            losses[pos].append(float(trainer(specs[pos], round_index, seed)))
+        calls = [(specs[pos], round_index, substream_seed(base_seed, ids[pos], "round", round_index))
+                 for pos in survivors]
+        for pos, loss in zip(survivors, _round_losses(trainer, calls, workers)):
+            losses[pos].append(float(loss))
             ledger.instance_counts[ids[pos]] += 1
             ledger.cumulative_trainings += 1
         scores = [robustness_statistic(losses[pos], criterion) for pos in survivors]

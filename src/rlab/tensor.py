@@ -100,7 +100,7 @@ class Tensor:
 
     def _coerce(self, other) -> "Tensor | float":
         if isinstance(other, Tensor):
-            if other.data.shape != self.data.shape and other.data.size != 1 and self.data.size != 1:
+            if other.data.shape != self.data.shape:     # no broadcasting, size 1 included
                 raise ShapeError(
                     f"elementwise op needs matching shapes, got {self.data.shape} and {other.data.shape}")
             return other

@@ -25,7 +25,7 @@ from .optim import make_optimizer
 from .seeding import substream
 from .tensor import Tensor, no_grad
 
-EVAL_BATCH = 512
+EVAL_BATCH = 256
 
 
 # -- metrics -----------------------------------------------------------------------

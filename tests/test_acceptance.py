@@ -291,7 +291,7 @@ def test_c08_reduced_model2_beats_constant_floor():
     _, floor = constant_predictor_loss("energy", targets)
 
     record = run_instances(AUX_SMALL, 5, train, test, "both_random",
-                           base_seed=21, sample_size=len(train))
+                           base_seed=21, sample_size=len(train), workers=2)
     elapsed = time.perf_counter() - t0
 
     assert not any(p["diverged"] for p in record.provenance)
@@ -308,9 +308,9 @@ def test_c09_aux_fed_model_wins_at_small_sample_size(sweep_pool, sweep_test):
     wins = 0
     for rep in range(10):
         rec_aux = run_instances(AUX_SMALL, 5, sweep_pool, sweep_test, "both_random",
-                                base_seed=rep, sample_size=500, stop=SWEEP_STOP)
+                                base_seed=rep, sample_size=500, stop=SWEEP_STOP, workers=2)
         rec_raw = run_instances(RAW_SMALL, 5, sweep_pool, sweep_test, "both_random",
-                                base_seed=rep, sample_size=500, stop=SWEEP_STOP)
+                                base_seed=rep, sample_size=500, stop=SWEEP_STOP, workers=2)
         if rec_aux.statistics()["median"] <= rec_raw.statistics()["median"]:
             wins += 1
     assert wins >= 8, f"aux-fed model won only {wins}/10 sweeps"
@@ -326,7 +326,8 @@ def test_c10_bigger_samples_lower_median_and_iqr(sweep_pool, sweep_test):
         stats = {}
         for n in (500, 8000):
             rec = run_instances(AUX_TINY, 5, sweep_pool, sweep_test, "both_random",
-                                base_seed=1000 + rep, sample_size=n, stop=SWEEP_STOP)
+                                base_seed=1000 + rep, sample_size=n, stop=SWEEP_STOP,
+                                workers=2)
             s = rec.statistics()
             stats[n] = (s["median"], s["iqr"])
         if stats[8000][0] <= stats[500][0] and stats[8000][1] <= stats[500][1]:
@@ -354,7 +355,8 @@ def test_c11_both_random_variance_dominates_single_modes():
         var, se = {}, {}
         for mode in single_modes + ("both_random",):
             rec = run_instances(AUX_TINY, 20, pool, test_set, mode,
-                                base_seed=5000 + rep, sample_size=256, stop=VAR_STOP)
+                                base_seed=5000 + rep, sample_size=256, stop=VAR_STOP,
+                                workers=2)
             var[mode] = float(np.var(rec.losses, ddof=1))
             se[mode] = bootstrap_se_of_variance(rec.losses, seed=rep)
         for mode in single_modes:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -42,6 +43,13 @@ def tiny_spec_dict(name="tiny", lr=0.001, kind="adam"):
 def write_config(path, mapping):
     path.write_text(yaml.safe_dump(mapping))
     return str(path)
+
+
+def rlab_env():
+    """This environment, with the rlab under test importable in a subprocess."""
+    src = os.path.dirname(os.path.dirname(rlab.__file__))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="module")
@@ -141,12 +149,10 @@ class TestTrain:
              "test_data": str(tmp_path / "test.rlab"),
              "init_seed": 13, "stop": dict(ONE_EPOCH)},
         )
-        src = os.path.dirname(os.path.dirname(rlab.__file__))
         reports = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env = dict(rlab_env(), OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "rlab.cli", "train", "--config", cfg, "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=300)
@@ -401,6 +407,77 @@ class TestSelect:
         assert "'B'" in err and "exited 7" in err and repr(stderr) in err
         assert not (tmp_path / "ledger.json").exists()
 
+    def select_reports(self, tmp_path, body, workers):
+        cfg = write_config(tmp_path / "s.yaml", body)
+        out = tmp_path / f"w{workers}"
+        assert main(["select", "--config", cfg, "--out", str(out),
+                     "--workers", str(workers)]) == EXIT_OK
+        return {name: (out / name).read_bytes()
+                for name in ("ledger.json", "winners.json", "summary.txt")}
+
+    def test_instances_trainer_reports_independent_of_workers(self, tmp_path, data_files):
+        train, test = data_files
+        body = {
+            "command": "select", "k": 3, "base_seed": 17,
+            "specs": [tiny_spec_dict(f"s{i}", lr=lr, kind=kind)
+                      for i, (lr, kind) in enumerate([(1e-3, "adam"), (1e-2, "adam"),
+                                                      (1e-2, "sgd"), (1e-3, "sgd")])],
+            "criterion": {"kind": "median"},
+            "trainer": {"kind": "instances", "train_data": train, "test_data": test,
+                        "sample_size": 48, "stop": dict(ONE_EPOCH)},
+        }
+        serial = self.select_reports(tmp_path, body, 1)
+        assert json.loads(serial["ledger.json"])["cumulative_trainings"] == 6
+        assert self.select_reports(tmp_path, body, 2) == serial
+
+    def test_command_trainer_reports_independent_of_workers(self, tmp_path):
+        # the loss depends on the seed, so a call given another spec's seed shows
+        script = tmp_path / "trainer.py"
+        script.write_text(
+            "import json, os, sys\n"
+            "spec = json.load(sys.stdin)\n"
+            "print(int(spec['name'][1:]) + int(os.environ['RLAB_SEED']) % 1000 / 1e4)\n"
+        )
+        body = {
+            "command": "select", "k": 4,
+            "specs": [tiny_spec_dict(f"c{i}") for i in range(6)],
+            "criterion": {"kind": "mean"},
+            "trainer": {"kind": "command", "argv": [sys.executable, str(script)]},
+        }
+        serial = self.select_reports(tmp_path, body, 1)
+        assert json.loads(serial["ledger.json"])["cumulative_trainings"] == 6 + 3
+        assert self.select_reports(tmp_path, body, 2) == serial
+
+    def test_first_failing_spec_reported_at_any_worker_count(self, tmp_path, capsys):
+        # B fails late and C at once: run side by side, C fails first in time,
+        # but B comes first in enumeration order, so B is the one reported
+        script = tmp_path / "trainer.py"
+        script.write_text(
+            "import json, sys, time\n"
+            "name = json.load(sys.stdin)['name']\n"
+            "if name == 'B':\n"
+            "    time.sleep(1.0)\n"
+            "    sys.exit(5)\n"
+            "if name == 'C':\n"
+            "    sys.exit(7)\n"
+            "print(1.0)\n"
+        )
+        body = {
+            "command": "select", "k": 2,
+            "specs": [tiny_spec_dict(n) for n in "ABCD"],
+            "trainer": {"kind": "command", "argv": [sys.executable, str(script)]},
+        }
+        cfg = write_config(tmp_path / "s.yaml", body)
+        errors = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["select", "--config", cfg, "--out", str(out),
+                         "--workers", workers]) == EXIT_DATA
+            errors.append(capsys.readouterr().err)
+            assert not (out / "ledger.json").exists()
+        assert errors[0] == errors[1]
+        assert "'B'" in errors[0] and "exited 5" in errors[0]
+
     def test_nonpositive_k_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "s.yaml", self.mock_select_body(k=0))
         assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -560,7 +637,71 @@ class TestReport:
         assert main(["report", "--config", cfg, "--out", str(tmp_path)]) == EXIT_DATA
 
 
+# runs rlab.cli.main on the arguments after the first; the first pool worker to start a training
+# of spec 'doomed' is SIGKILLed, as the out-of-memory killer would, and
+# creates the file named by the first argument before it dies
+KILL_ONE_WORKER = """
+import os, signal, sys
+import rlab.robustness
+from rlab.cli import main
+
+flag, train_task, parent = sys.argv.pop(1), rlab.robustness._train_task, os.getpid()
+
+def dying_task(pool, test_set, spec, *args):
+    if os.getpid() != parent and spec.name == "doomed":
+        try:
+            os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return train_task(pool, test_set, spec, *args)
+
+rlab.robustness._train_task = dying_task
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestKilledWorker:
+    @pytest.mark.parametrize("command", ["robustness", "sweep", "select"])
+    def test_killed_worker_exits_3_naming_the_spec(self, tmp_path, data_files, command):
+        train, test = data_files
+        spec = tiny_spec_dict("doomed")
+        body = {
+            "robustness": robustness_config(train, test, spec=spec, k=4),
+            "sweep": {"command": "sweep", "spec": spec, "k": 2, "sizes": [16, 32],
+                      "train_data": train, "test_data": test, "stop": dict(ONE_EPOCH)},
+            "select": {"command": "select", "k": 2,
+                       "specs": [spec, tiny_spec_dict("spared", lr=0.01)],
+                       "trainer": {"kind": "instances", "train_data": train,
+                                   "test_data": test, "stop": dict(ONE_EPOCH)}},
+        }[command]
+        cfg = write_config(tmp_path / "c.yaml", body)
+        argv = [sys.executable, "-c", KILL_ONE_WORKER, str(tmp_path / "killed"),
+                command, "--config", cfg, "--out", str(tmp_path / "out"), "--workers", "2"]
+        # a session of its own, so that on timeout the workers are stopped too
+        proc = subprocess.Popen(argv, env=rlab_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"{command} still running 60 s after a worker was killed")
+        assert (tmp_path / "killed").exists()
+        assert proc.returncode == EXIT_DATA, err
+        assert err.startswith("worker error:") and err.count("\n") == 1, err
+        assert "'doomed'" in err
+
+
 class TestTopLevel:
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import sys, rlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", code], env=rlab_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_command_mismatch(self, tmp_path):
         cfg = write_config(tmp_path / "g.yaml",
                            {"command": "gen-data", "n": 5, "seed": 1})

@@ -1,6 +1,8 @@
 """Ensemble statistics, randomization modes, and budgeted selection."""
 
 import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from rlab.robustness import (
     STAT_KEYS,
     BaselineGatePolicy,
     HalvingPolicy,
+    InstanceRunner,
     RobustnessRecord,
     SelectionCriterion,
     criterion_study,
@@ -244,6 +247,19 @@ class TestRunInstances:
         with pytest.raises(ContractError):
             run_instances(tiny_spec(), 1, pool, test, mode="sideways")
 
+    def test_runner_forks_its_workers_up_front_and_reaps_them(self, pools):
+        pool, test = pools
+        tasks = [(tiny_spec(), 32, seed, seed + 1, ONE_EPOCH) for seed in (3, 5, 7)]
+        with InstanceRunner(pool, test) as serial:
+            expected = [inst.to_record() for inst in serial.train(tasks)]
+        assert multiprocessing.active_children() == []
+        with InstanceRunner(pool, test, workers=2) as runner:
+            # forked before any caller thread could start, not at the first task
+            assert len(multiprocessing.active_children()) == 2
+            got = [inst.to_record() for inst in runner.train(tasks)]
+        assert multiprocessing.active_children() == []
+        assert got == expected
+
     def test_sample_size_recorded(self, pools):
         pool, test = pools
         rec = run_instances(tiny_spec(), 1, pool, test, sample_size=20,
@@ -378,6 +394,43 @@ class TestSelection:
                 rejected += 1
         expected = 1.0 - (1.0 - p) ** k
         assert abs(rejected / reps - expected) < 0.08
+
+    def test_workers_run_a_round_side_by_side_with_the_serial_outcome(self):
+        names = [f"s{i}" for i in range(8)]
+        specs = self.make_specs(names)
+        table = {n: 1.0 + (i * 7 % 8) for i, n in enumerate(names)}
+        serial = FixedTrainer(table)
+        expected = select_models(specs, crit("mean"), policy=HalvingPolicy(), trainer=serial)
+        pairs = threading.Barrier(2, timeout=30)    # each call waits for a second one
+
+        def paired(spec, round_index, seed):
+            pairs.wait()
+            return table[spec.name]
+
+        winners, ledger = select_models(specs, crit("mean"), policy=HalvingPolicy(),
+                                        trainer=paired, workers=2)
+        assert (winners, ledger.to_record()) == (expected[0], expected[1].to_record())
+        assert ledger.cumulative_trainings == 8 + 4 + 2
+
+    def test_first_failure_in_survivor_order_is_raised(self):
+        specs = self.make_specs(["A", "B", "C", "D"])
+        c_failed = threading.Event()
+
+        def trainer(spec, round_index, seed):
+            if spec.name == "B":
+                if workers > 1:
+                    c_failed.wait(timeout=30)
+                raise ContractError("B failed")
+            if spec.name == "C":
+                c_failed.set()
+                raise ContractError("C failed")
+            return 1.0
+
+        for workers in (1, 2):
+            c_failed.clear()
+            with pytest.raises(ContractError, match="B failed"):
+                select_models(specs, crit("mean"), policy=HalvingPolicy(),
+                              trainer=trainer, workers=workers)
 
     def test_validation(self):
         trainer = FixedTrainer({"A": 1.0, "B": 2.0})

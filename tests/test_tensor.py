@@ -323,6 +323,15 @@ class TestArithmetic:
         with pytest.raises(ShapeError):
             Tensor(np.zeros(3)) + Tensor(np.zeros(4))
 
+    @pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__", "__truediv__"])
+    @pytest.mark.parametrize("shapes", [((3,), (1,)), ((1,), (3,)), ((2, 3), ()), ((), (2,))])
+    def test_size_one_operand_rejected_in_forward(self, op, shapes):
+        # a broadcast forward would give gradients of the wrong shape in backward
+        a = Tensor(np.ones(shapes[0]), requires_grad=True)
+        b = Tensor(np.ones(shapes[1]), requires_grad=True)
+        with pytest.raises(ShapeError, match="matching shapes"):
+            getattr(a, op)(b)
+
     def test_sqrt_of_negative_rejected(self):
         with pytest.raises(ContractError):
             Tensor(np.array([-1.0])).sqrt()
