@@ -48,6 +48,10 @@ EXIT_DIVERGED = 4        # the run finished but produced only diverged losses
 
 COMMANDS = ("gen-data", "train", "robustness", "select", "sweep", "report")
 
+# libyaml's scanner and parser, about 8x faster on a large loss table; its
+# constructor and resolver are SafeLoader's, so both build the same objects
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -59,9 +63,9 @@ class ExperimentConfig:
     @staticmethod
     def parse(text: str) -> "ExperimentConfig":
         try:
-            raw = yaml.safe_load(text)
-        except yaml.YAMLError as e:
-            raise ConfigError(f"not valid YAML: {e}") from None
+            raw = yaml.load(text, Loader=_YAML_LOADER)
+        except yaml.YAMLError as e:     # one line; YAML's own message spans several
+            raise ConfigError("not valid YAML: " + " ".join(str(e).split())) from None
         if not isinstance(raw, dict) or "command" not in raw:
             raise ConfigError("config must be a mapping with a 'command' key")
         command = raw.pop("command")
@@ -270,6 +274,10 @@ def _trainer_from(body: dict, workers: int):
         yield mock_trainer, 1
     elif kind == "command":
         argv = [str(a) for a in _require(d, "argv")]
+        timeout = d.get("timeout")      # seconds per call; absent: no limit
+        if timeout is not None and not (type(timeout) in (int, float) and 0 < timeout < math.inf):
+            raise ConfigError(f"trainer timeout must be a positive number of seconds, "
+                              f"got {timeout!r}")
 
         def command_trainer(spec, round_index, seed):
             env = dict(os.environ,
@@ -277,8 +285,12 @@ def _trainer_from(body: dict, workers: int):
                        RLAB_SPEC_NAME=spec.name,
                        RLAB_ROUND=str(round_index),
                        RLAB_SEED=str(seed))
-            proc = subprocess.run(argv, input=json.dumps(spec.to_dict()),
-                                  capture_output=True, text=True, env=env)
+            try:
+                proc = subprocess.run(argv, input=json.dumps(spec.to_dict()),
+                                      capture_output=True, text=True, env=env, timeout=timeout)
+            except subprocess.TimeoutExpired:
+                raise DatasetFormatError(f"external trainer for spec {spec.name!r} ran past "
+                                         f"its {timeout!r} s timeout and was killed") from None
             if proc.returncode != 0:
                 raise DatasetFormatError(f"external trainer exited {proc.returncode} for spec "
                                          f"{spec.name!r}; stderr: {proc.stderr[-500:]!r}")

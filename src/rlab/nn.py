@@ -217,8 +217,18 @@ class ModelSpec:
         return spec
 
     def spec_id(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha1(blob).hexdigest()[:10]
+        """sha1 of the sorted-key JSON of to_dict(), first 10 hex digits.
+
+        Computed once per instance and kept in its __dict__: the fields are
+        frozen, and dataclasses.replace builds a new instance through
+        __init__, so a derived spec never inherits its source's id.
+        """
+        sid = self.__dict__.get("_spec_id")
+        if sid is None:
+            blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+            sid = hashlib.sha1(blob).hexdigest()[:10]
+            object.__setattr__(self, "_spec_id", sid)
+        return sid
 
 
 def feature_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:
@@ -259,6 +269,10 @@ class Model:
         spec.validate()
         self.spec = spec
         self.init_seed = int(init_seed)
+        if spec.activation in ("sigmoid", "gelu"):
+            # loaded here, not at the first forward, so that a training's BLAS
+            # guard finds scipy's OpenBLAS mapped when it starts
+            import scipy.special  # noqa: F401
         rng = substream(self.init_seed, "weights")
         shapes = feature_shapes(spec)
         is_prelu = spec.activation == "prelu"

@@ -8,7 +8,7 @@ only meaningful for AdamW.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -47,13 +47,18 @@ class OptimizerConfig:
             raise ContractError(f"{self.kind} regularizes via l2; weight_decay is adamw-only")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields in declaration order, as dataclasses.asdict gives them,
+        # without its recursive deep copy of values that are all scalars
+        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
 
     @staticmethod
     def from_dict(d: dict) -> "OptimizerConfig":
         cfg = OptimizerConfig(**d)
         cfg.validate()
         return cfg
+
+
+_CONFIG_FIELDS = tuple(f.name for f in fields(OptimizerConfig))
 
 
 class Optimizer:

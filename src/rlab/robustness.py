@@ -31,18 +31,21 @@ RANDOMIZATION_MODES = ("fixed_data_random_init", "random_data_fixed_init", "both
 STAT_KEYS = ("mean", "median", "min", "max", "std", "q1", "q3", "iqr")
 
 
-def _checked(losses: Sequence[float]) -> np.ndarray:
-    """The losses as a float64 array; each must be real or +inf."""
-    arr = np.asarray(losses, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ContractError(f"need a non-empty flat list of losses, got shape {arr.shape}")
+def _checked(losses: Sequence[float] | np.ndarray, rows: bool = False) -> np.ndarray:
+    """The losses as a C-ordered float64 array, flat or, with rows, one loss
+    multiset per row; each must be real or +inf."""
+    arr = np.asarray(losses, dtype=np.float64, order="C")
+    if arr.ndim not in ((1, 2) if rows else (1,)) or arr.size == 0:
+        raise ContractError(f"need a non-empty flat list of losses"
+                            f"{' or rows of them' if rows else ''}, got shape {arr.shape}")
     if not (arr > -math.inf).all():
         raise ContractError("losses must be real or +inf, got NaN or -inf")
     return arr
 
 
 def _quantiles(arr: np.ndarray, ps: Sequence[float]) -> np.ndarray:
-    """np.quantile (linear) of checked losses at each p, bit for bit on finite input.
+    """np.quantile (linear) of checked losses along the last axis at each p,
+    bit for bit on finite input; shape arr.shape[:-1] + (len(ps),).
 
     Next to a diverged (+inf) entry numpy's interpolation computes inf * 0 or
     inf - inf and returns NaN.  There the result is the entry itself when the
@@ -51,34 +54,35 @@ def _quantiles(arr: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     """
     ps = np.asarray(ps, dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        q = np.quantile(arr, ps)
+        q = np.moveaxis(np.quantile(arr, ps, axis=-1), 0, -1)
     bad = np.isnan(q)
     if bad.any():
-        pos = (arr.size - 1) * ps[bad]      # numpy's position for the linear method
+        pos = (arr.shape[-1] - 1) * ps     # numpy's position for the linear method
         below = np.floor(pos)
-        q[bad] = np.where(pos == below, np.sort(arr)[below.astype(np.intp)], math.inf)
+        at = np.take(np.sort(arr, axis=-1), below.astype(np.intp), axis=-1)
+        q[bad] = np.where(pos == below, at, math.inf)[bad]
     return q
 
 
-def _exact_std(arr: np.ndarray) -> float:
-    """Population std; identical entries give 0.0 exactly, not rounding dust,
-    and any diverged member makes the spread infinite."""
-    if np.all(arr == arr[0]):
-        return 0.0
-    if np.any(np.isinf(arr)):
-        return math.inf
-    return float(arr.std())
+def _exact_std(arr: np.ndarray) -> np.ndarray:
+    """Population std along the last axis; identical entries give 0.0 exactly,
+    not rounding dust, and any diverged member makes the spread infinite."""
+    with np.errstate(invalid="ignore"):     # inf - inf inside numpy's std
+        std = arr.std(axis=-1)
+    return np.where((arr == arr[..., :1]).all(axis=-1), 0.0,
+                    np.where(np.isinf(arr).any(axis=-1), math.inf, std))
 
 
-# criterion kind -> reducer(losses, quantile p); median stays on np.median, the
-# faster call on the tournament's hot path
-_REDUCERS: dict[str, Callable[[np.ndarray, float | None], float]] = {
-    "mean": lambda arr, _: arr.mean(),
-    "median": lambda arr, _: np.median(arr),
-    "min": lambda arr, _: arr.min(),
-    "max": lambda arr, _: arr.max(),
+# criterion kind -> reducer(losses, quantile p) along the last axis, so one
+# call scores a loss multiset or every row of a 2-D array; median stays on
+# np.median, the faster call on the tournament's hot path
+_REDUCERS: dict[str, Callable[[np.ndarray, float | None], np.ndarray]] = {
+    "mean": lambda arr, _: arr.mean(axis=-1),
+    "median": lambda arr, _: np.median(arr, axis=-1),
+    "min": lambda arr, _: arr.min(axis=-1),
+    "max": lambda arr, _: arr.max(axis=-1),
     "std": lambda arr, _: _exact_std(arr),
-    "quantile": lambda arr, p: _quantiles(arr, (p,))[0],
+    "quantile": lambda arr, p: _quantiles(arr, (p,))[..., 0],
 }
 
 
@@ -102,10 +106,17 @@ class SelectionCriterion:
         return f"quantile({self.quantile})" if self.kind == "quantile" else self.kind
 
 
-def robustness_statistic(losses: Sequence[float], criterion: SelectionCriterion) -> float:
-    """One summary number for a loss multiset; +inf entries propagate."""
+def robustness_statistic(losses: Sequence[float] | np.ndarray,
+                         criterion: SelectionCriterion) -> float | np.ndarray:
+    """One summary number for a loss multiset; +inf entries propagate.
+
+    Given a 2-D array, the number of each row: each row's value is the one
+    its losses would get on their own, bit for bit.
+    """
     criterion.validate()
-    return float(_REDUCERS[criterion.kind](_checked(losses), criterion.quantile))
+    arr = _checked(losses, rows=True)
+    value = _REDUCERS[criterion.kind](arr, criterion.quantile)
+    return float(value) if arr.ndim == 1 else value
 
 
 def summary_statistics(losses: Sequence[float]) -> dict:
@@ -412,7 +423,9 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
             losses[pos].append(float(loss))
             ledger.instance_counts[ids[pos]] += 1
             ledger.cumulative_trainings += 1
-        scores = [robustness_statistic(losses[pos], criterion) for pos in survivors]
+        # every survivor holds round_index losses: the round is one call
+        scores = robustness_statistic(np.array([losses[pos] for pos in survivors]),
+                                      criterion).tolist()
         removal_positions = set(policy.removals(round_index, scores))
         rolled_back = len(removal_positions) >= len(survivors)
         if rolled_back:

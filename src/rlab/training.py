@@ -11,6 +11,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import sys
 import threading
 import time
 from dataclasses import dataclass, asdict
@@ -162,11 +163,17 @@ _OPENBLAS_SYMBOLS = (
 )
 
 
-@functools.cache
 def openblas_thread_controls() -> tuple:
     """(path, get, set) of each OpenBLAS mapped into this process, get and
     set being its thread-count functions; empty under another BLAS or where
-    /proc/self/maps is missing."""
+    /proc/self/maps is missing.  A library imported after the first call
+    (scipy, at the first sigmoid or gelu model) can map a copy of its own, so
+    the maps are read again whenever the count of imported modules changed."""
+    return _mapped_openblas(len(sys.modules))
+
+
+@functools.lru_cache(maxsize=1)
+def _mapped_openblas(modules: int) -> tuple:
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split(None, 5)[5].strip() for line in fh
@@ -194,20 +201,21 @@ class _OneBlasThread:
 
     The thread count decides how OpenBLAS splits a matrix product, which can
     move loss bits, and more threads are slower on the small products here.  The
-    count is process-wide: the first training to enter sets it, the last to
-    leave restores the caller's count.
+    count is process-wide: each training to enter pins every copy mapped by
+    then that is not yet held, and the last to leave restores the caller's
+    counts.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._active = 0
-        self._saved: list = []
+        self._saved: dict[str, tuple] = {}      # path -> (set, the caller's count)
 
     def __enter__(self):
         with self._lock:
-            if self._active == 0:
-                self._saved = [(set_, get()) for _, get, set_ in openblas_thread_controls()]
-                for set_, _ in self._saved:
+            for path, get, set_ in openblas_thread_controls():
+                if path not in self._saved:
+                    self._saved[path] = (set_, get())
                     set_(1)
             self._active += 1
 
@@ -215,8 +223,9 @@ class _OneBlasThread:
         with self._lock:
             self._active -= 1
             if self._active == 0:
-                for set_, count in self._saved:
+                for set_, count in self._saved.values():
                     set_(count)
+                self._saved = {}
 
 
 _one_blas_thread = _OneBlasThread()

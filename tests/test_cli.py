@@ -1,7 +1,10 @@
 """Command line: configs, file outputs, exit codes, rerun determinism."""
 
+import hashlib
 import json
+import math
 import os
+import random
 import signal
 import struct
 import subprocess
@@ -11,8 +14,10 @@ import zlib
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import rlab
+import rlab.cli
 from rlab.calo import GeneratorConfig, generate_dataset, load_dataset, save_dataset
 from rlab.cli import (
     EXIT_CONFIG,
@@ -23,6 +28,7 @@ from rlab.cli import (
     main,
 )
 from rlab.errors import ConfigError
+from rlab.nn import PRESET_IDS, enumerate_search_space, preset_spec, reference_search_space
 
 ONE_EPOCH = {"min_epochs": 1, "window": 1, "threshold": 1e9, "hard_cap": 1}
 
@@ -73,6 +79,57 @@ class TestExperimentConfig:
         for text in ("- a\n- b\n", "n: 3\n", "command: conquer\n", ":\n -"):
             with pytest.raises(ConfigError):
                 ExperimentConfig.parse(text)
+
+
+# config values as safe_dump writes them: floats such as 1.0e-05, .inf and
+# .nan, ints, bools, None, and strings a resolver could take for numbers
+SCALARS = st.one_of(
+    st.floats(), st.sampled_from([1e-05, 1e300, -0.0, math.inf, -math.inf, math.nan]),
+    st.integers(-2**70, 2**70), st.booleans(), st.none(), st.text(max_size=8),
+    st.sampled_from(["1e3", "1.0e-05", ".inf", "-.inf", ".nan", "0x1F", "0o17", "1_000",
+                     "+12", "yes", "off", "~", "null", "2001-12-14", "1:20", "007"]))
+CONFIG_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestYamlLoaders:
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @given(st.dictionaries(st.text(max_size=8), CONFIG_VALUES, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_libyaml_and_python_loaders_agree(self, mapping):
+        text = yaml.safe_dump(mapping, sort_keys=True)
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        slow = yaml.load(text, Loader=yaml.SafeLoader)
+        # repr is stricter than ==: nan matches nan, but 1, 1.0 and True differ
+        assert repr(fast) == repr(slow)
+
+    def test_parse_uses_libyaml_where_built(self):
+        assert rlab.cli._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    def test_grid_config_parses_as_the_python_loader_does(self):
+        names = [s.name for s in TestSelectBytesPinned.GRID]
+        body = {"command": "select", "search_space": {"reference": "energy"}, "k": 50,
+                "trainer": {"kind": "mock", "noise": 0.01,
+                            "losses": TestSelectBytesPinned.loss_table(names, 3, 0.1)}}
+        text = yaml.safe_dump(body)
+        cfg = ExperimentConfig.parse(text)
+        assert {"command": cfg.command, **cfg.body} == yaml.load(text, Loader=yaml.SafeLoader)
+
+    @pytest.mark.parametrize("text", [
+        "command: [unclosed\n", "command: select\nk: b: c\n", "command: select\n\tk: 3\n",
+        "command: 'unterminated\n", "{command: select", "command: select\nk: *nowhere\n",
+        "command: select\nk: \x07\n", "%YAML 9.9\n---\ncommand: select\n",
+    ])
+    def test_malformed_yaml_is_one_config_error_line(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        assert main(["select", "--config", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: not valid YAML") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenData:
@@ -478,6 +535,46 @@ class TestSelect:
         assert errors[0] == errors[1]
         assert "'B'" in errors[0] and "exited 5" in errors[0]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_command_trainer_timeout_is_data_error(self, tmp_path, workers):
+        script = tmp_path / "trainer.py"
+        script.write_text(
+            "import json, sys, time\n"
+            "if json.load(sys.stdin)['name'] == 'B':\n"
+            "    time.sleep(60)\n"
+            "print(1.0)\n"
+        )
+        body = {
+            "command": "select", "k": 2,
+            "specs": [tiny_spec_dict(n) for n in "ABC"],
+            "trainer": {"kind": "command", "argv": [sys.executable, str(script)],
+                        "timeout": 1.5},
+        }
+        cfg = write_config(tmp_path / "s.yaml", body)
+        argv = [sys.executable, "-m", "rlab.cli", "select", "--config", cfg,
+                "--out", str(tmp_path / "out"), "--workers", workers]
+        # a session of its own, so that on timeout the sleeping trainer is stopped too
+        proc = subprocess.Popen(argv, env=rlab_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("select still running 30 s into a 1.5 s trainer timeout")
+        assert proc.returncode == EXIT_DATA, err
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert "'B'" in err and "timeout" in err
+        assert not (tmp_path / "out" / "ledger.json").exists()
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, math.inf, "soon", True])
+    def test_bad_command_trainer_timeout_is_config_error(self, tmp_path, capsys, timeout):
+        body = {"command": "select", "k": 2, "specs": [tiny_spec_dict(n) for n in "AB"],
+                "trainer": {"kind": "command", "argv": ["true"], "timeout": timeout}}
+        cfg = write_config(tmp_path / "s.yaml", body)
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "timeout" in capsys.readouterr().err
+
     def test_nonpositive_k_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "s.yaml", self.mock_select_body(k=0))
         assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -499,6 +596,102 @@ class TestSelect:
 
 
 SWEEP_HEADER = "n,min,q1,median,q3,max,whisker_lo,whisker_hi,outliers"
+
+
+REPORT_NAMES = ("ledger.json", "winners.json", "summary.txt")
+
+
+def report_digests(out) -> dict:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in REPORT_NAMES}
+
+
+class TestSelectBytesPinned:
+    """The select reports' sha256 digests, recorded before the engine's scoring,
+    spec ids and config loading were made faster: they pin every byte."""
+
+    GRID = enumerate_search_space(reference_search_space("energy"))
+
+    @staticmethod
+    def loss_table(names, seed, diverged_share=0.0):
+        rng = random.Random(seed)
+        return {n: math.inf if rng.random() < diverged_share else rng.uniform(0.05, 0.5)
+                for n in names}
+
+    def run_select(self, tmp_path, **body):
+        cfg = write_config(tmp_path / "s.yaml", {"command": "select", "k": 50, **body})
+        out = tmp_path / "out"
+        assert main(["select", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        return report_digests(out)
+
+    @pytest.mark.parametrize("criterion, policy, expected", [
+        ("median", {"kind": "halving"}, {
+            "ledger.json":
+                "d132fe779f30dc42079805f13c7cd9095a33d2f84d31ebc8e7e0eef1f80da014",
+            "winners.json":
+                "fa50b103c956e616c1216e8ee8625f489ff73462a8c6479c4b9fc157afd860c8",
+            "summary.txt":
+                "05814c8180045d0740d50e495847d27f2a96b813b6e90298081769c3e8ce3c12"}),
+        ("mean", {"kind": "baseline_gate", "reference_loss": 0.2, "margin": 0.2}, {
+            "ledger.json":
+                "3a103b9e15abd836efd21ed6e28abca72cc036aad7ea545b83b6593f1b147993",
+            "winners.json":
+                "fa50b103c956e616c1216e8ee8625f489ff73462a8c6479c4b9fc157afd860c8",
+            "summary.txt":
+                "cf3ee1d691b2edebd032e442901d3642c1a4bf4e5f7746b43210fb2aacdd1967"}),
+    ])
+    def test_reference_grid(self, tmp_path, criterion, policy, expected):
+        table = self.loss_table((s.name for s in self.GRID), seed=5)
+        got = self.run_select(tmp_path, search_space={"reference": "energy"},
+                              criterion={"kind": criterion}, policy=policy, base_seed=2024,
+                              trainer={"kind": "mock", "noise": 0.01, "losses": table})
+        assert got == expected
+
+    @pytest.mark.parametrize("criterion, expected", [
+        ({"kind": "min"}, {
+            "ledger.json":
+                "46945c7d253b6c28ce6d538a8c856c142a409b217cec453d207565b03c8f130c",
+            "winners.json":
+                "5748129f0fabbb2869020d34703c307e49ff93f49fa55bb7c22fc6aac98a7f9d",
+            "summary.txt":
+                "ee08ed0f10aea49a3720861571746c5b74232a846e5042c455926b56d26aa2e8"}),
+        ({"kind": "max"}, {
+            "ledger.json":
+                "a70bd44149368454d99aaed52033ec8937d383414b95f78fd98695c77ab1cd05",
+            "winners.json":
+                "c493ced619252fd19deae6cfd4275ac7fec943b5a24d78b1a11f9fa2f51d0f42",
+            "summary.txt":
+                "4f8bd106ce7231515aef2c1e60d94706f26a520f0d104da18d5387b3437f3995"}),
+        ({"kind": "std"}, {
+            "ledger.json":
+                "7a5787cf2b82d8a811ff1d423c0ac7a8e8e62222e0ad193737bb8b5d5d90acbb",
+            "winners.json":
+                "7eac2b4866fb23e64dfa0acb5450a8321dba5dd2d94feb801dfccb8bbbb74351",
+            "summary.txt":
+                "f7b627daa43c0127b3aa7a70371f465e4a19ce4646a4a1537515f76db1199e6a"}),
+        ({"kind": "quantile", "quantile": 0.25}, {
+            "ledger.json":
+                "24cd81db29dc906b23f9727dd656b86e8c69f0f94806fc40e3c06457db6c1855",
+            "winners.json":
+                "c493ced619252fd19deae6cfd4275ac7fec943b5a24d78b1a11f9fa2f51d0f42",
+            "summary.txt":
+                "4f8bd106ce7231515aef2c1e60d94706f26a520f0d104da18d5387b3437f3995"}),
+    ])
+    def test_grid_slice_with_diverged_specs(self, tmp_path, criterion, expected):
+        # 301 specs, about 60% of them diverged (+inf), so that rounds score
+        # rows of +inf entries as well as finite ones
+        specs = self.GRID[::23]
+        table = self.loss_table((s.name for s in specs), seed=6, diverged_share=0.6)
+        got = self.run_select(tmp_path, specs=[s.to_dict() for s in specs],
+                              criterion=criterion, base_seed=77,
+                              trainer={"kind": "mock", "noise": 0.01, "losses": table})
+        assert got == expected
+
+    def test_spec_ids(self):
+        ids = [preset_spec(p).spec_id() for p in PRESET_IDS]
+        ids += [self.GRID[0].spec_id(), self.GRID[-1].spec_id()]
+        assert ids == ["3373e6ebfd", "0c1d124b21", "5ef9b119b1", "03542ead35",
+                       "70d294da01", "c915c0955c"]
 
 
 class TestSweep:

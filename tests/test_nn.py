@@ -1,6 +1,10 @@
 """Activation catalogue, initialization statistics, spec accounting, model forward."""
 
+import dataclasses
+import hashlib
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -150,6 +154,49 @@ class TestSpecAccounting:
         spec = preset_spec("model4")
         assert ModelSpec.from_dict(spec.to_dict()) == spec
         assert ModelSpec.from_dict(spec.to_dict()).spec_id() == spec.spec_id()
+
+
+class TestSpecIds:
+    @staticmethod
+    def fresh_id(spec):
+        blob = json.dumps(spec.to_dict(), sort_keys=True).encode()
+        return hashlib.sha1(blob).hexdigest()[:10]
+
+    def test_optimizer_dict_is_asdict(self):
+        for pid in PRESET_COUNTS:
+            opt = preset_spec(pid).optimizer
+            assert list(opt.to_dict().items()) == list(dataclasses.asdict(opt).items())
+
+    @pytest.mark.parametrize("change", [{"batch_size": 17}, {"name": "renamed"},
+                                        {"activation": "tanh"}])
+    def test_replaced_spec_gets_its_own_id(self, change):
+        spec = preset_spec("model2")
+        source_id = spec.spec_id()          # computed, and kept, before the copy
+        copy = dataclasses.replace(spec, **change)
+        assert copy.spec_id() == self.fresh_id(copy) != source_id
+        assert spec.spec_id() == source_id == self.fresh_id(spec)
+
+    def test_replaced_optimizer_gets_its_own_id(self):
+        spec = preset_spec("model1")
+        spec.spec_id()
+        opt = dataclasses.replace(spec.optimizer, learning_rate=0.5)
+        copy = dataclasses.replace(spec, optimizer=opt)
+        assert copy.spec_id() == self.fresh_id(copy) != spec.spec_id()
+
+    @pytest.mark.parametrize("computed_first", [False, True])
+    def test_pickle_round_trip_keeps_the_id(self, computed_first):
+        spec = preset_spec("model3")
+        if computed_first:
+            spec.spec_id()
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec
+        assert back.spec_id() == spec.spec_id() == self.fresh_id(spec)
+
+    def test_id_is_not_a_field(self):
+        spec = preset_spec("model4")
+        spec.spec_id()
+        assert spec == preset_spec("model4") and hash(spec) == hash(preset_spec("model4"))
+        assert "_spec_id" not in spec.to_dict() and "_spec_id" not in repr(spec)
 
 
 class TestModelForward:

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+
+import rlab.robustness
 from hypothesis import assume, given, settings, strategies as st
 
 from rlab.calo import GeneratorConfig, generate_dataset
@@ -32,6 +34,27 @@ from rlab.training import EarlyStopConfig, TrainedInstance
 
 def crit(kind, q=None):
     return SelectionCriterion(kind=kind, quantile=q)
+
+
+# a loss: any real, or diverged (+inf); the sampled values make ties likely
+LOSS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 0.1, 0.25, 1.0, math.inf]))
+
+
+@st.composite
+def loss_rows(draw):
+    """Rows of equally many losses, sometimes with one row of identical entries."""
+    n = draw(st.integers(1, 14))
+    rows = draw(st.lists(st.lists(LOSS, min_size=n, max_size=n), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [draw(LOSS)] * n)
+    return rows
+
+
+def criteria():
+    p = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                  st.sampled_from([1e-12, 0.25, 0.5, 0.75, 1.0 - 1e-12]))
+    return st.one_of(st.sampled_from(["mean", "median", "min", "max", "std"]).map(crit),
+                     p.map(lambda q: crit("quantile", q)))
 
 
 class TestStatistics:
@@ -62,9 +85,12 @@ class TestStatistics:
     def test_empty_and_nan_rejected(self):
         for bad in ([], [1.0, math.nan], [1.0, -math.inf], [[1.0, 2.0]]):
             with pytest.raises(ContractError):
-                robustness_statistic(bad, crit("mean"))
-            with pytest.raises(ContractError):
                 summary_statistics(bad)
+        # robustness_statistic also takes rows of losses, but not an empty row or a cube
+        for bad in ([], [1.0, math.nan], [1.0, -math.inf], [[]], [[1.0], [math.nan]],
+                    [[[1.0, 2.0]]]):
+            with pytest.raises(ContractError):
+                robustness_statistic(bad, crit("mean"))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractError):
@@ -123,6 +149,24 @@ class TestStatistics:
             assert repr(robustness_statistic(losses, crit("quantile", q))) == repr(s[key])
             if n_inf == 0:
                 assert repr(float(np.quantile(losses, q))) == repr(s[key])
+
+    @given(loss_rows(), criteria())
+    @settings(max_examples=400, deadline=None)
+    def test_rows_score_as_each_row_alone(self, rows, criterion):
+        scores = robustness_statistic(np.array(rows), criterion)
+        assert isinstance(scores, np.ndarray) and scores.shape == (len(rows),)
+        assert [repr(float(v)) for v in scores] == [
+            repr(robustness_statistic(row, criterion)) for row in rows]
+
+    def test_rows_hand_examples(self):
+        rows = [[0.5, 0.5, 0.5], [1.0, 2.0, math.inf], [math.inf] * 3, [3.0, 1.0, 2.0]]
+        want = {"mean": [0.5, math.inf, math.inf, 2.0],
+                "median": [0.5, 2.0, math.inf, 2.0],
+                "std": [0.0, math.inf, 0.0, math.sqrt(2 / 3)],
+                "quantile": [0.5, 1.5, math.inf, 1.5]}
+        for kind, expected in want.items():
+            c = crit(kind, 0.25 if kind == "quantile" else None)
+            assert robustness_statistic(np.array(rows), c).tolist() == expected, kind
 
     def test_summary_matches_numpy(self):
         losses = [0.4, 1.1, 0.9, 2.5, 0.7]
@@ -293,6 +337,21 @@ class TestSelection:
         assert ledger.cumulative_trainings == 3
         assert ledger.rounds[0].survivors_before == 3
         assert len(ledger.rounds[0].removed) == 2
+
+    def test_one_scoring_call_per_round(self, monkeypatch):
+        # looked up through the module on every round, so a wrapper sees each call
+        calls = []
+
+        def counting(losses, criterion):
+            calls.append(np.shape(losses))
+            return robustness_statistic(losses, criterion)
+
+        monkeypatch.setattr(rlab.robustness, "robustness_statistic", counting)
+        names = [f"s{i:02d}" for i in range(20)]
+        trainer = FixedTrainer({n: float(i % 7) for i, n in enumerate(names)})
+        _, ledger = select_models(self.make_specs(names), crit("median"),
+                                  policy=HalvingPolicy(), trainer=trainer)
+        assert calls == [(r.survivors_before, r.index) for r in ledger.rounds]
 
     def test_ledger_conservation(self):
         specs = self.make_specs(["A", "B", "C", "D", "E"])
