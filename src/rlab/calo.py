@@ -48,7 +48,8 @@ class GeneratorConfig:
     resolution_a: float = 0.10                  # stochastic term a/sqrt(E)
     noise_b: float = 0.01                       # constant relative term
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        object.__setattr__(self, "energy_range", tuple(self.energy_range))
         if self.dataset_kind not in ("A", "B"):
             raise ContractError(f"dataset_kind must be 'A' or 'B', got {self.dataset_kind!r}")
         lo, hi = self.energy_range
@@ -69,15 +70,6 @@ class GeneratorConfig:
         d = asdict(self)
         d["energy_range"] = list(self.energy_range)
         return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "GeneratorConfig":
-        d = dict(d)
-        if "energy_range" in d:       # partial dicts fall back to field defaults
-            d["energy_range"] = tuple(d["energy_range"])
-        cfg = GeneratorConfig(**d)
-        cfg.validate()
-        return cfg
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,6 @@ class Dataset:
 
 def generate_dataset(cfg: GeneratorConfig, n: int, seed: int) -> Dataset:
     """n events under (cfg, seed).  Event i depends only on (seed, i)."""
-    cfg.validate()
     if n < 1:
         raise ContractError("n must be >= 1")
     clusters = np.empty((n, GRID, GRID))
@@ -306,7 +297,7 @@ def load_dataset(path: str) -> Dataset:
     if not isinstance(meta, dict) or "generator" not in meta:
         raise DatasetFormatError(f"{path}: provenance block has no generator config")
     try:
-        cfg = GeneratorConfig.from_dict(meta["generator"])
+        cfg = GeneratorConfig(**meta["generator"])
     except (TypeError, ValueError) as e:
         raise DatasetFormatError(f"{path}: bad generator config: {e}") from None
     if meta_end + 8 > len(payload):
@@ -327,12 +318,3 @@ def load_dataset(path: str) -> Dataset:
                    m[:, CELLS + 2], m[:, CELLS + 3], m[:, CELLS + 4], cfg,
                    seed=meta.get("seed"))
 
-
-def export_csv(dataset: Dataset, path: str) -> None:
-    """Lossy text dump for plotting tools."""
-    header = ",".join([f"c{i}" for i in range(CELLS)] + ["E", "x", "y", "tx", "ty"])
-    m = _event_matrix(dataset)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in m:
-            fh.write(",".join(repr(v) for v in row.tolist()) + "\n")

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import yaml
 
 # bootstrap_sample is not called here; perfbench traces rlab.cli.bootstrap_sample
-from .calo import GeneratorConfig, bootstrap_sample, generate_dataset, load_dataset, save_dataset  # noqa: F401
+from .calo import bootstrap_sample  # noqa: F401
+from .calo import (Dataset, GeneratorConfig, generate_dataset, load_dataset,
+                   sample_size_schedule, save_dataset)
 from .errors import ConfigError, ContractError, DatasetFormatError, WorkerLostError
 from .nn import (ModelSpec, SearchSpace, TARGETS, enumerate_search_space,
                  preset_spec, reference_search_space)
@@ -47,6 +49,10 @@ EXIT_DATA = 3            # missing or corrupt input files, failed trainer, lost 
 EXIT_DIVERGED = 4        # the run finished but produced only diverged losses
 
 COMMANDS = ("gen-data", "train", "robustness", "select", "sweep", "report")
+
+# the body key each command's seed lives under; --seed overrides it
+SEED_KEYS = {"gen-data": "seed", "train": "init_seed", "robustness": "base_seed",
+             "select": "base_seed", "sweep": "base_seed"}
 
 # libyaml's scanner and parser, about 8x faster on a large loss table; its
 # constructor and resolver are SafeLoader's, so both build the same objects
@@ -73,9 +79,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown command {command!r}")
         return ExperimentConfig(command=command, body=raw)
 
-    def serialize(self) -> str:
-        return yaml.safe_dump({"command": self.command, **self.body}, sort_keys=True)
-
 
 # -- small shared pieces ---------------------------------------------------------------
 
@@ -95,15 +98,18 @@ def _spec_from(body: dict) -> ModelSpec:
 
 
 def _stop_from(body: dict) -> EarlyStopConfig:
-    return EarlyStopConfig.from_dict(body["stop"]) if "stop" in body else EarlyStopConfig()
+    return EarlyStopConfig(**body["stop"]) if "stop" in body else EarlyStopConfig()
+
+
+def _datasets_from(body: dict) -> tuple[Dataset, Dataset]:
+    """The (train_data, test_data) pair the body names."""
+    return load_dataset(_require(body, "train_data")), load_dataset(_require(body, "test_data"))
 
 
 def _criterion_from(d: dict) -> SelectionCriterion:
     if not isinstance(d, dict):
         raise ConfigError(f"a criterion must be a mapping, got {d!r}")
-    crit = SelectionCriterion(kind=d.get("kind", "mean"), quantile=d.get("quantile"))
-    crit.validate()
-    return crit
+    return SelectionCriterion(kind=d.get("kind", "mean"), quantile=d.get("quantile"))
 
 
 def _policy_from(body: dict):
@@ -154,12 +160,12 @@ def _box_row(box: dict) -> list:
 # -- command handlers --------------------------------------------------------------------
 
 
-def cmd_gen_data(body: dict, out_dir: str, seed_override: int | None, workers: int) -> int:
-    gen = GeneratorConfig.from_dict(body.get("generator", {}))
+def cmd_gen_data(body: dict, out_dir: str, workers: int) -> int:
+    gen = GeneratorConfig(**body.get("generator", {}))
     n = int(_require(body, "n"))
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    seed = seed_override if seed_override is not None else int(_require(body, "seed"))
+    seed = int(_require(body, "seed"))
     dataset = generate_dataset(gen, n, seed)
     path = os.path.join(out_dir, body.get("filename", "events.rlab"))
     save_dataset(dataset, path)
@@ -169,11 +175,10 @@ def cmd_gen_data(body: dict, out_dir: str, seed_override: int | None, workers: i
     return EXIT_OK
 
 
-def cmd_train(body: dict, out_dir: str, seed_override: int | None, workers: int) -> int:
+def cmd_train(body: dict, out_dir: str, workers: int) -> int:
     spec = _spec_from(body)
-    train_set = load_dataset(_require(body, "train_data"))
-    test_set = load_dataset(_require(body, "test_data"))
-    init_seed = seed_override if seed_override is not None else int(_require(body, "init_seed"))
+    train_set, test_set = _datasets_from(body)
+    init_seed = int(_require(body, "init_seed"))
     inst = train_instance(spec, train_set, test_set, init_seed, stop=_stop_from(body))
     _write_json(os.path.join(out_dir, "instance.json"), inst.to_record())
     _write_csv(
@@ -186,18 +191,16 @@ def cmd_train(body: dict, out_dir: str, seed_override: int | None, workers: int)
     return EXIT_DIVERGED if inst.diverged else EXIT_OK
 
 
-def cmd_robustness(body: dict, out_dir: str, seed_override: int | None, workers: int) -> int:
+def cmd_robustness(body: dict, out_dir: str, workers: int) -> int:
     spec = _spec_from(body)
-    pool = load_dataset(_require(body, "train_data"))
-    test_set = load_dataset(_require(body, "test_data"))
-    base_seed = seed_override if seed_override is not None else int(body.get("base_seed", 0))
+    pool, test_set = _datasets_from(body)
     record = run_instances(
         spec,
         k=int(_require(body, "k")),
         pool=pool,
         test_set=test_set,
         mode=body.get("mode", "both_random"),
-        base_seed=base_seed,
+        base_seed=int(body.get("base_seed", 0)),
         sample_size=body.get("sample_size"),
         stop=_stop_from(body),
         workers=workers,
@@ -305,8 +308,7 @@ def _trainer_from(body: dict, workers: int):
 
         yield command_trainer, workers
     elif kind == "instances":
-        pool = load_dataset(_require(d, "train_data"))
-        test_set = load_dataset(_require(d, "test_data"))
+        pool, test_set = _datasets_from(d)
         stop = _stop_from(d)
         size = len(pool) if d.get("sample_size") is None else int(d["sample_size"])
 
@@ -321,12 +323,11 @@ def _trainer_from(body: dict, workers: int):
         raise ConfigError(f"unknown trainer kind {kind!r}")
 
 
-def cmd_select(body: dict, out_dir: str, seed_override: int | None, workers: int) -> int:
+def cmd_select(body: dict, out_dir: str, workers: int) -> int:
     specs = _specs_from(body)
     k = int(_require(body, "k"))     # read only for the "vs exhaustive" line
     if k < 1:
         raise ConfigError("k must be >= 1")
-    base_seed = seed_override if seed_override is not None else int(body.get("base_seed", 0))
     criterion, policy = _criterion_from(body.get("criterion", {})), _policy_from(body)
     with _trainer_from(body, workers) as (trainer, concurrency):
         winners, ledger = select_models(
@@ -335,7 +336,7 @@ def cmd_select(body: dict, out_dir: str, seed_override: int | None, workers: int
             policy=policy,
             trainer=trainer,
             max_rounds=int(body.get("max_rounds", 50)),
-            base_seed=base_seed,
+            base_seed=int(body.get("base_seed", 0)),
             workers=concurrency,
         )
     _write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
@@ -356,20 +357,21 @@ def cmd_select(body: dict, out_dir: str, seed_override: int | None, workers: int
     return EXIT_OK
 
 
-def cmd_sweep(body: dict, out_dir: str, seed_override: int | None, workers: int) -> int:
+def cmd_sweep(body: dict, out_dir: str, workers: int) -> int:
     spec = _spec_from(body)
-    train_pool = load_dataset(_require(body, "train_data"))
-    test_pool = load_dataset(_require(body, "test_data"))
-    base_seed = seed_override if seed_override is not None else int(body.get("base_seed", 0))
+    train_pool, test_pool = _datasets_from(body)
+    if "sizes" in body:     # explicit sizes win over schedule indices
+        sizes = [int(n) for n in body["sizes"]]
+    else:
+        sizes = [sample_size_schedule(int(i)) for i in body.get("indices", [])]
     rows = sample_size_sweep(
         spec,
-        indices=[int(i) for i in body.get("indices", [])],
+        sizes=sizes,
         k=int(_require(body, "k")),
         train_pool=train_pool,
         test_pool=test_pool,
-        base_seed=base_seed,
+        base_seed=int(body.get("base_seed", 0)),
         stop=_stop_from(body),
-        sizes=[int(n) for n in body["sizes"]] if "sizes" in body else None,
         workers=workers,
     )
     _write_csv(
@@ -385,7 +387,7 @@ def cmd_sweep(body: dict, out_dir: str, seed_override: int | None, workers: int)
     return EXIT_DIVERGED if rows and all(math.isinf(r["box"]["min"]) for r in rows) else EXIT_OK
 
 
-def cmd_report(body: dict, out_dir: str, seed_override: int | None, workers: int) -> int:
+def cmd_report(body: dict, out_dir: str, workers: int) -> int:
     path = _require(body, "records")
     rows = []       # (spec_id, losses, summary statistics); all are checked before any output
     with open(path) as fh:
@@ -480,7 +482,10 @@ def main(argv: list[str] | None = None) -> int:
         workers = _resolve_workers(args.workers)
         out_dir = args.out or config.body.get("out_dir", ".")
         os.makedirs(out_dir, exist_ok=True)
-        return HANDLERS[config.command](dict(config.body), out_dir, args.seed, workers)
+        body = dict(config.body)
+        if args.seed is not None and config.command in SEED_KEYS:
+            body[SEED_KEYS[config.command]] = args.seed
+        return HANDLERS[config.command](body, out_dir, workers)
     except DatasetFormatError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -3,7 +3,7 @@
 A ModelSpec is a value object: conv/pool/fc stack, activation kind, optional
 auxiliary input column(s) spliced into one FC layer's input, plus the
 training hyperparameters.  Feature shapes are a pure function of a
-ModelSpec, so whole grids can be enumerated and validated without building
+ModelSpec, so whole grids can be enumerated and checked without building
 anything; parameter counts come from the one layout `Model` builds.
 
 Convolutions carry no bias; linear layers do.  Weights draw from He's
@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -167,14 +166,14 @@ class ModelSpec:
         object.__setattr__(self, "conv_layers", tuple(tuple(c) for c in self.conv_layers))
         object.__setattr__(self, "pool_layers", tuple(tuple(p) for p in self.pool_layers))
         object.__setattr__(self, "fc_layers", tuple(self.fc_layers))
-
-    def validate(self) -> None:
         if self.activation not in ACTIVATIONS:
             raise CatalogueError(f"unknown activation {self.activation!r}")
         if self.target not in TARGETS:
             raise CatalogueError(f"unknown target {self.target!r}")
         if self.aux not in AUX_WIDTHS:
             raise CatalogueError(f"unknown aux feature {self.aux!r}")
+        if self.seed_policy != "substreams":
+            raise CatalogueError(f"unknown seed policy {self.seed_policy!r}")
         if len(self.pool_layers) != len(self.conv_layers):
             raise ContractError("need one pool stage per conv layer")
         if not self.fc_layers or self.fc_layers[-1] != 1:
@@ -183,7 +182,6 @@ class ModelSpec:
             raise ContractError("aux_injection_layer out of range")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
-        self.optimizer.validate()
         feature_shapes(self)   # raises if the stack eats the grid
 
     @property
@@ -208,13 +206,8 @@ class ModelSpec:
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
         d = dict(d)
-        d["optimizer"] = OptimizerConfig.from_dict(d["optimizer"])
-        d["conv_layers"] = tuple(tuple(c) for c in d["conv_layers"])
-        d["pool_layers"] = tuple(tuple(p) for p in d["pool_layers"])
-        d["fc_layers"] = tuple(d["fc_layers"])
-        spec = ModelSpec(**d)
-        spec.validate()
-        return spec
+        d["optimizer"] = OptimizerConfig(**d["optimizer"])
+        return ModelSpec(**d)
 
     def spec_id(self) -> str:
         """sha1 of the sorted-key JSON of to_dict(), first 10 hex digits.
@@ -266,7 +259,6 @@ class Model:
     """
 
     def __init__(self, spec: ModelSpec, init_seed: int):
-        spec.validate()
         self.spec = spec
         self.init_seed = int(init_seed)
         if spec.activation in ("sigmoid", "gelu"):
@@ -351,19 +343,6 @@ class Model:
                 x = self._activate(x, slope)
         return x.reshape(n)
 
-    def get_weights(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.parameters()]
-
-    def set_weights(self, weights: Sequence[np.ndarray]) -> None:
-        params = self.parameters()
-        if len(weights) != len(params):
-            raise ContractError(f"expected {len(params)} arrays, got {len(weights)}")
-        for p, w in zip(params, weights):
-            w = np.asarray(w, dtype=np.float64)
-            if w.shape != p.data.shape:
-                raise ShapeError(f"weight shape {w.shape} does not match {p.data.shape}")
-            p.data = w.copy()
-
 
 # -- presets --------------------------------------------------------------------
 
@@ -418,6 +397,9 @@ class SearchSpace:
         object.__setattr__(self, "learning_rates", tuple(self.learning_rates))
         object.__setattr__(self, "batch_sizes", tuple(self.batch_sizes))
         object.__setattr__(self, "regularizations", tuple(self.regularizations))
+        for label in ("architectures", "learning_rates", "batch_sizes", "regularizations"):
+            if not getattr(self, label):
+                raise ContractError(f"search space axis {label} is empty")
 
 
 def enumerate_search_space(space: SearchSpace) -> list[ModelSpec]:
@@ -426,9 +408,6 @@ def enumerate_search_space(space: SearchSpace) -> list[ModelSpec]:
     Regularization lands on the slot the architecture's optimizer kind uses:
     weight_decay for adamw, coupled l2 otherwise.
     """
-    for label in ("architectures", "learning_rates", "batch_sizes", "regularizations"):
-        if not getattr(space, label):
-            raise ContractError(f"search space axis {label} is empty")
     specs: list[ModelSpec] = []
     seen: set[str] = set()
     for arch in space.architectures:

@@ -33,7 +33,7 @@ class OptimizerConfig:
     rms_decay: float = 0.99
     rho: float = 0.9
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in KINDS:
             raise CatalogueError(f"unknown optimizer kind {self.kind!r}, expected one of {KINDS}")
         if self.learning_rate <= 0.0:
@@ -51,12 +51,6 @@ class OptimizerConfig:
         # without its recursive deep copy of values that are all scalars
         return {name: getattr(self, name) for name in _CONFIG_FIELDS}
 
-    @staticmethod
-    def from_dict(d: dict) -> "OptimizerConfig":
-        cfg = OptimizerConfig(**d)
-        cfg.validate()
-        return cfg
-
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(OptimizerConfig))
 
@@ -65,7 +59,6 @@ class Optimizer:
     """Base: gradient fetch, finiteness check, coupled L2."""
 
     def __init__(self, params: Sequence[Tensor], cfg: OptimizerConfig):
-        cfg.validate()
         self.params = list(params)
         self.cfg = cfg
         self.t = 0
@@ -206,5 +199,4 @@ def default_config(kind: str) -> OptimizerConfig:
 
 
 def make_optimizer(params: Sequence[Tensor], cfg: OptimizerConfig) -> Optimizer:
-    cfg.validate()
     return _REGISTRY[cfg.kind](params, cfg)

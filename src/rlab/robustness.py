@@ -74,11 +74,10 @@ def _exact_std(arr: np.ndarray) -> np.ndarray:
 
 
 # criterion kind -> reducer(losses, quantile p) along the last axis, so one
-# call scores a loss multiset or every row of a 2-D array; median stays on
-# np.median, the faster call on the tournament's hot path
+# call scores a loss multiset or every row of a 2-D array
 _REDUCERS: dict[str, Callable[[np.ndarray, float | None], np.ndarray]] = {
     "mean": lambda arr, _: arr.mean(axis=-1),
-    "median": lambda arr, _: np.median(arr, axis=-1),
+    "median": lambda arr, _: _quantiles(arr, (0.5,))[..., 0],
     "min": lambda arr, _: arr.min(axis=-1),
     "max": lambda arr, _: arr.max(axis=-1),
     "std": lambda arr, _: _exact_std(arr),
@@ -93,7 +92,7 @@ class SelectionCriterion:
     kind: str = "mean"
     quantile: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in _REDUCERS:
             raise ContractError(f"unknown statistic {self.kind!r}")
         if self.kind == "quantile":
@@ -113,7 +112,6 @@ def robustness_statistic(losses: Sequence[float] | np.ndarray,
     Given a 2-D array, the number of each row: each row's value is the one
     its losses would get on their own, bit for bit.
     """
-    criterion.validate()
     arr = _checked(losses, rows=True)
     value = _REDUCERS[criterion.kind](arr, criterion.quantile)
     return float(value) if arr.ndim == 1 else value
@@ -405,7 +403,6 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
     specs = list(specs)
     if not specs:
         raise ContractError("nothing to select from")
-    criterion.validate()
     ids = [s.spec_id() for s in specs]
     if len(set(ids)) != len(ids):
         raise ContractError("spec ids must be unique")
@@ -475,19 +472,14 @@ def criterion_study(loss_sets: Sequence[Sequence[float]],
     return out
 
 
-def sample_size_sweep(spec: ModelSpec, indices: Sequence[int], k: int,
+def sample_size_sweep(spec: ModelSpec, sizes: Sequence[int], k: int,
                       train_pool: Dataset, test_pool: Dataset,
                       base_seed: int = 0, stop: EarlyStopConfig | None = None,
-                      sizes: Sequence[int] | None = None, workers: int = 1) -> list[dict]:
+                      workers: int = 1) -> list[dict]:
     """Loss spread versus training-set size, test sets matched in size.
 
     Rows carry the raw losses and their summary statistics, ready for tabulation.
-    `sizes` overrides the schedule lookup when given (desk-scale runs).
     """
-    from .calo import sample_size_schedule
-
-    if sizes is None:
-        sizes = [sample_size_schedule(i) for i in indices]
     rows = []
     for n in sizes:
         seed = substream_seed(base_seed, "sweep", int(n))

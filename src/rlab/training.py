@@ -82,7 +82,7 @@ class EarlyStopConfig:
     threshold: float = 0.10
     hard_cap: int = 400
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.window < 1:
             raise ContractError("window must be >= 1")
         if self.min_epochs < 1:
@@ -95,17 +95,10 @@ class EarlyStopConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "EarlyStopConfig":
-        cfg = EarlyStopConfig(**d)
-        cfg.validate()
-        return cfg
-
 
 def should_stop(trace: Sequence[float], cfg: EarlyStopConfig) -> bool:
     """True once the last `window` losses spread more than `threshold`, but
     never before min_epochs; always true at hard_cap."""
-    cfg.validate()
     n = len(trace)
     if n >= cfg.hard_cap:
         return True
@@ -236,7 +229,7 @@ _one_blas_thread = _OneBlasThread()
 
 @dataclass
 class TrainedInstance:
-    """One training run's full story; weights optional, trace always kept."""
+    """One training run's full story, loss trace included."""
 
     spec_id: str
     spec_name: str
@@ -247,11 +240,10 @@ class TrainedInstance:
     final_test_loss: float
     diverged: bool
     wall_time: float
-    weights: list[np.ndarray] | None = None
 
-    def to_record(self, include_wall_time: bool = False) -> dict:
-        # wall_time is excluded by default so report files stay bit-reproducible
-        rec = {
+    def to_record(self) -> dict:
+        # wall_time is left out so report files stay bit-reproducible
+        return {
             "spec_id": self.spec_id,
             "spec_name": self.spec_name,
             "init_seed": self.init_seed,
@@ -261,9 +253,6 @@ class TrainedInstance:
             "diverged": self.diverged,
             "loss_trace": list(self.loss_trace),
         }
-        if include_wall_time:
-            rec["wall_time"] = self.wall_time
-        return rec
 
 
 def _loss_node(spec: ModelSpec, model: Model, clusters: np.ndarray,
@@ -319,16 +308,13 @@ def fit(model: Model, train_arrays, eval_arrays, stop: EarlyStopConfig,
 
 def train_instance(spec: ModelSpec, train_set: Dataset, eval_set: Dataset,
                    init_seed: int, stop: EarlyStopConfig | None = None,
-                   data_seed: int | None = None,
-                   keep_weights: bool = False) -> TrainedInstance:
+                   data_seed: int | None = None) -> TrainedInstance:
     """Train one instance to the stop rule and score it on eval_set.
 
     The minibatch order draws from the init substream, so it counts as
     initialization-side stochasticity.
     """
-    spec.validate()
     stop = stop or EarlyStopConfig()
-    stop.validate()
     t0 = time.perf_counter()
     model = Model(spec, init_seed)
     with _one_blas_thread:
@@ -351,5 +337,4 @@ def train_instance(spec: ModelSpec, train_set: Dataset, eval_set: Dataset,
         final_test_loss=math.inf if diverged else trace[-1],
         diverged=diverged,
         wall_time=wall,
-        weights=model.get_weights() if keep_weights else None,
     )

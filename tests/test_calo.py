@@ -6,7 +6,7 @@ from scipy.stats import spearmanr
 
 from rlab.calo import (
     CELLS, GRID, GeneratorConfig, bootstrap_sample, cluster_barycenter,
-    cluster_energy_sum, export_csv, generate_dataset, generate_event, load_dataset,
+    cluster_energy_sum, generate_dataset, generate_event, load_dataset,
     sample_size_schedule, save_dataset, split_fixed, subsample,
 )
 from rlab.errors import ContractError, DatasetFormatError, DegenerateFitError
@@ -18,7 +18,7 @@ KIND_B = GeneratorConfig(dataset_kind="B")
 
 class TestGeneratorConfig:
     def test_defaults_valid(self):
-        GeneratorConfig().validate()
+        GeneratorConfig()
 
     @pytest.mark.parametrize("kw", [
         {"dataset_kind": "C"},
@@ -32,11 +32,11 @@ class TestGeneratorConfig:
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ContractError):
-            GeneratorConfig(**kw).validate()
+            GeneratorConfig(**kw)
 
     def test_round_trip(self):
         cfg = GeneratorConfig(dataset_kind="B", resolution_a=0.07)
-        assert GeneratorConfig.from_dict(cfg.to_dict()) == cfg
+        assert GeneratorConfig(**cfg.to_dict()) == cfg
 
 
 class TestEventPhysicsFreeInvariants:
@@ -289,13 +289,3 @@ class TestFileFormat:
         self.rewrite_payload(path, drop_generator)
         with pytest.raises(DatasetFormatError, match="generator"):
             load_dataset(path)
-
-    def test_csv_export(self, tmp_path):
-        ds = generate_dataset(GeneratorConfig(), 3, seed=44)
-        path = str(tmp_path / "d.csv")
-        export_csv(ds, path)
-        lines = open(path).read().splitlines()
-        assert lines[0].startswith("c0,c1,") and lines[0].endswith("E,x,y,tx,ty")
-        assert len(lines) == 4
-        first = [float(v) for v in lines[1].split(",")]
-        assert first[CELLS] == ds.energy[0]

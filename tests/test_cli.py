@@ -68,13 +68,6 @@ def data_files(tmp_path_factory):
 
 
 class TestExperimentConfig:
-    def test_round_trip(self):
-        cfg = ExperimentConfig(
-            command="sweep",
-            body={"k": 3, "sizes": [10, 20], "stop": dict(ONE_EPOCH), "out_dir": "x"},
-        )
-        assert ExperimentConfig.parse(cfg.serialize()) == cfg
-
     def test_parse_rejects_garbage(self):
         for text in ("- a\n- b\n", "n: 3\n", "command: conquer\n", ":\n -"):
             with pytest.raises(ConfigError):
@@ -584,6 +577,25 @@ class TestSelect:
         body["specs"] = []
         cfg = write_config(tmp_path / "s.yaml", body)
         assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("block, message", [
+        ({"search_space": {"architectures": [tiny_spec_dict("a")],
+                           "learning_rates": [-1.0, 0.001], "batch_sizes": [0, 32],
+                           "regularizations": [-0.5]}},
+         "learning_rate must be positive"),
+        ({"specs": [tiny_spec_dict("a"), dict(tiny_spec_dict("b"), seed_policy="fixed")]},
+         "unknown seed policy 'fixed'"),
+    ])
+    def test_invalid_spec_is_one_config_error_line(self, tmp_path, capsys, block, message):
+        # the mock knows every name the grid would carry, so only a check of
+        # the specs themselves can stop the run
+        names = [f"a-lr{lr}-bs{bs}-reg-0.5" for lr in ("-1", "0.001") for bs in (0, 32)]
+        body = {"command": "select", "k": 2, **block,
+                "trainer": {"kind": "mock", "losses": {n: 0.5 for n in names + ["a", "b"]}}}
+        cfg = write_config(tmp_path / "s.yaml", body)
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "winners.json").exists()
 
     def test_reference_search_space_shortcut(self):
         from rlab.cli import _specs_from

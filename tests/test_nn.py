@@ -141,10 +141,9 @@ class TestSpecAccounting:
 
     def test_kernel_eating_grid_rejected(self):
         spec = preset_spec("model1")
-        bad = ModelSpec(**{**spec.to_dict(), "optimizer": spec.optimizer,
-                           "conv_layers": ((4, 16), (4, 3))})
         with pytest.raises(ShapeError):
-            bad.validate()
+            ModelSpec(**{**spec.to_dict(), "optimizer": spec.optimizer,
+                         "conv_layers": ((4, 16), (4, 3))})
 
     def test_unknown_preset(self):
         with pytest.raises(CatalogueError):
@@ -212,11 +211,11 @@ class TestModelForward:
     def test_init_seed_pins_weights(self):
         a = Model(preset_spec("model1"), 11)
         b = Model(preset_spec("model1"), 11)
-        for wa, wb in zip(a.get_weights(), b.get_weights()):
-            assert np.array_equal(wa, wb)
+        for wa, wb in zip(a.parameters(), b.parameters()):
+            assert np.array_equal(wa.data, wb.data)
         c = Model(preset_spec("model1"), 12)
-        assert any(not np.array_equal(wa, wc)
-                   for wa, wc in zip(a.get_weights(), c.get_weights()))
+        assert any(not np.array_equal(wa.data, wc.data)
+                   for wa, wc in zip(a.parameters(), c.parameters()))
 
     def test_biases_start_at_zero(self):
         model = Model(preset_spec("model1"), 7)
@@ -287,14 +286,6 @@ class TestModelForward:
         assert calls[used] == len(spec.conv_layers) + len(spec.fc_layers) - 1
         assert calls[unused] == 0
 
-    def test_set_weights_round_trip(self):
-        a = Model(preset_spec("model4"), 31)
-        b = Model(preset_spec("model4"), 32)
-        b.set_weights(a.get_weights())
-        x = self.batch(3)
-        aux = Tensor(np.zeros((3, 2)))
-        np.testing.assert_array_equal(a.forward(x, aux).data, b.forward(x, aux).data)
-
 
 class TestSearchSpace:
     def two_arch_space(self):
@@ -349,6 +340,5 @@ class TestSearchSpace:
             if arch_key in seen:
                 continue
             seen.add(arch_key)
-            s.validate()
             assert param_count(s) > 0
         assert len(seen) == 144

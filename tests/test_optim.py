@@ -129,16 +129,16 @@ class TestRegularizationRouting:
 
     def test_adamw_rejects_l2(self):
         with pytest.raises(ContractError):
-            OptimizerConfig("adamw", learning_rate=0.01, l2=0.1).validate()
+            OptimizerConfig("adamw", learning_rate=0.01, l2=0.1)
 
     def test_others_reject_weight_decay(self):
         for kind in ("sgd", "adam", "adagrad", "rmsprop", "adadelta", "nadam"):
             with pytest.raises(ContractError):
-                OptimizerConfig(kind, learning_rate=0.01, weight_decay=0.1).validate()
+                OptimizerConfig(kind, learning_rate=0.01, weight_decay=0.1)
 
     def test_unknown_kind(self):
         with pytest.raises(CatalogueError):
-            OptimizerConfig("momentum", learning_rate=0.01).validate()
+            OptimizerConfig("momentum", learning_rate=0.01)
 
 
 class TestAdadeltaIgnoresLearningRate:
@@ -210,4 +210,4 @@ class TestStateAndErrors:
 
     def test_config_round_trip(self):
         cfg = OptimizerConfig("adamw", learning_rate=0.001, weight_decay=0.1)
-        assert OptimizerConfig.from_dict(cfg.to_dict()) == cfg
+        assert OptimizerConfig(**cfg.to_dict()) == cfg
