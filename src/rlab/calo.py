@@ -14,6 +14,7 @@ stop early, produce bit-identical events.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, asdict
@@ -55,15 +56,18 @@ class GeneratorConfig:
         lo, hi = self.energy_range
         if not 0.0 < lo < hi:
             raise ContractError(f"energy_range must satisfy 0 < lo < hi, got {self.energy_range}")
+        if not hi < math.inf:       # numpy cannot draw from an unbounded range
+            raise ContractError(f"energy_range must be finite, got {self.energy_range}")
         if not 0.0 < self.containment_fraction <= 1.0:
             raise ContractError("containment_fraction must be in (0, 1]")
-        if self.core_width <= 0.0 or self.halo_width <= 0.0:
+        # positive forms throughout, so that NaN fails each check
+        if not (self.core_width > 0.0 and self.halo_width > 0.0):
             raise ContractError("profile widths must be positive")
         if not 0.0 <= self.core_fraction <= 1.0:
             raise ContractError("core_fraction must be in [0, 1]")
-        if self.angle_bound < 0.0 or self.shower_depth < 0.0:
+        if not (self.angle_bound >= 0.0 and self.shower_depth >= 0.0):
             raise ContractError("angle_bound and shower_depth must be non-negative")
-        if self.resolution_a < 0.0 or self.noise_b < 0.0:
+        if not (self.resolution_a >= 0.0 and self.noise_b >= 0.0):
             raise ContractError("resolution terms must be non-negative")
 
     def to_dict(self) -> dict:
@@ -142,11 +146,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.energy)
-
-    def __getitem__(self, i: int) -> EventRecord:
-        return EventRecord(cluster=self.clusters[i], energy=float(self.energy[i]),
-                           x=float(self.x[i]), y=float(self.y[i]),
-                           theta_x=float(self.theta_x[i]), theta_y=float(self.theta_y[i]))
 
     def take(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.clusters[indices], self.energy[indices], self.x[indices],

@@ -89,8 +89,18 @@ def _require(body: dict, key: str):
     return body[key]
 
 
+def _mapping(body: dict, key: str, default: dict | None = None) -> dict:
+    """The block under key, which must be a mapping; required unless a default is given."""
+    d = _require(body, key) if default is None else body.get(key, default)
+    if not isinstance(d, dict):
+        raise ConfigError(f"{key!r} must be a mapping, got {d!r}")
+    return d
+
+
 def _spec_from(body: dict) -> ModelSpec:
     if "preset" in body:
+        if not isinstance(body["preset"], str):
+            raise ConfigError(f"preset must be a name, got {body['preset']!r}")
         return preset_spec(body["preset"])
     if "spec" in body:
         return ModelSpec.from_dict(body["spec"])
@@ -113,7 +123,7 @@ def _criterion_from(d: dict) -> SelectionCriterion:
 
 
 def _policy_from(body: dict):
-    d = body.get("policy", {})
+    d = _mapping(body, "policy", {})
     kind = d.get("kind", "halving")
     if kind == "halving":
         return HalvingPolicy(start_round=int(d.get("start_round", 1)))
@@ -243,7 +253,7 @@ def _specs_from(body: dict) -> list[ModelSpec]:
         space = SearchSpace(
             architectures=tuple(ModelSpec.from_dict(d) for d in _require(s, "architectures")),
             learning_rates=tuple(float(v) for v in _require(s, "learning_rates")),
-            batch_sizes=tuple(int(v) for v in _require(s, "batch_sizes")),
+            batch_sizes=tuple(_require(s, "batch_sizes")),     # each spec checks its own
             regularizations=tuple(float(v) for v in _require(s, "regularizations")),
         )
         return enumerate_search_space(space)
@@ -258,10 +268,10 @@ def _trainer_from(body: dict, workers: int):
     commands run side by side; the instances trainer hands each training to
     a worker process, so its calls run in parallel on threads that wait.
     """
-    d = _require(body, "trainer")
+    d = _mapping(body, "trainer")
     kind = d.get("kind")
     if kind == "mock":
-        table = {str(k): float(v) for k, v in _require(d, "losses").items()}
+        table = {str(k): float(v) for k, v in _mapping(d, "losses").items()}
         noise = float(d.get("noise", 0.0))
 
         def mock_trainer(spec, round_index, seed):

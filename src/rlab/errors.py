@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the count check that raises one."""
+
+from itertools import chain
 
 
 class ContractError(ValueError):
@@ -39,3 +41,14 @@ class DegenerateFitError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment config file is missing keys or holds invalid values."""
+
+
+def require_counts(**values) -> None:
+    """Raise ContractError unless each value is an int, or a tuple of ints or
+    of int tuples; a bool or an integral float is not a count."""
+    for name, value in values.items():
+        items = value if type(value) is tuple else (value,)
+        if items and type(items[0]) is tuple:       # conv and pool layers: pairs
+            items = tuple(chain.from_iterable(items))
+        if not set(map(type, items)) <= {int}:      # one pass in C: a grid builds thousands
+            raise ContractError(f"{name} takes integers only, got {value!r}")

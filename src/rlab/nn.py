@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CatalogueError, ContractError, ShapeError
+from .errors import CatalogueError, ContractError, ShapeError, require_counts
 from .optim import OptimizerConfig
 from .seeding import substream
 from .tensor import Tensor, concat, conv2d, linear, maxpool2d
@@ -41,7 +41,7 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 # scipy.special is imported when sigmoid or gelu first runs, not with the
-# package: it costs each process about 20 MB and its own OpenBLAS
+# package: it costs each process about 20 MB and maps its own OpenBLAS
 def _expit(x):
     from scipy.special import expit
     return expit(x)
@@ -166,6 +166,9 @@ class ModelSpec:
         object.__setattr__(self, "conv_layers", tuple(tuple(c) for c in self.conv_layers))
         object.__setattr__(self, "pool_layers", tuple(tuple(p) for p in self.pool_layers))
         object.__setattr__(self, "fc_layers", tuple(self.fc_layers))
+        require_counts(conv_layers=self.conv_layers, pool_layers=self.pool_layers,
+                       fc_layers=self.fc_layers, aux_injection_layer=self.aux_injection_layer,
+                       batch_size=self.batch_size)
         if self.activation not in ACTIVATIONS:
             raise CatalogueError(f"unknown activation {self.activation!r}")
         if self.target not in TARGETS:
@@ -261,10 +264,6 @@ class Model:
     def __init__(self, spec: ModelSpec, init_seed: int):
         self.spec = spec
         self.init_seed = int(init_seed)
-        if spec.activation in ("sigmoid", "gelu"):
-            # loaded here, not at the first forward, so that a training's BLAS
-            # guard finds scipy's OpenBLAS mapped when it starts
-            import scipy.special  # noqa: F401
         rng = substream(self.init_seed, "weights")
         shapes = feature_shapes(spec)
         is_prelu = spec.activation == "prelu"
@@ -411,15 +410,13 @@ def enumerate_search_space(space: SearchSpace) -> list[ModelSpec]:
     specs: list[ModelSpec] = []
     seen: set[str] = set()
     for arch in space.architectures:
+        # the other slot is zeroed too: an adamw config may carry l2=-0.0
+        slot, other = (("weight_decay", "l2") if arch.optimizer.kind == "adamw"
+                       else ("l2", "weight_decay"))
         for lr in space.learning_rates:
             for bs in space.batch_sizes:
                 for reg in space.regularizations:
-                    if arch.optimizer.kind == "adamw":
-                        opt = replace(arch.optimizer, learning_rate=lr,
-                                      weight_decay=reg, l2=0.0)
-                    else:
-                        opt = replace(arch.optimizer, learning_rate=lr,
-                                      l2=reg, weight_decay=0.0)
+                    opt = replace(arch.optimizer, learning_rate=lr, **{slot: reg, other: 0.0})
                     spec = replace(arch, optimizer=opt, batch_size=bs,
                                    name=f"{arch.name}-lr{lr:g}-bs{bs}-reg{reg:g}")
                     sid = spec.spec_id()

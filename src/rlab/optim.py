@@ -36,9 +36,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise CatalogueError(f"unknown optimizer kind {self.kind!r}, expected one of {KINDS}")
-        if self.learning_rate <= 0.0:
+        # positive forms throughout, so that NaN fails each check
+        if not self.learning_rate > 0.0:
             raise ContractError("learning_rate must be positive")
-        if self.l2 < 0.0 or self.weight_decay < 0.0:
+        if not (self.l2 >= 0.0 and self.weight_decay >= 0.0):
             raise ContractError("regularization strengths must be non-negative")
         if self.kind == "adamw":
             if self.l2 != 0.0:

@@ -14,7 +14,7 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,43 +142,30 @@ class RobustnessRecord:
     mode: str
     sample_size: int
     base_seed: int
-    _losses: list[float] = field(default_factory=list)
+    losses: tuple[float, ...] = ()
     provenance: list[dict] = field(default_factory=list)
 
-    @property
-    def losses(self) -> tuple[float, ...]:
-        return tuple(self._losses)
-
     def add(self, instance: TrainedInstance) -> None:
-        self._losses.append(instance.final_test_loss)
         self.provenance.append(
             {
-                "index": len(self._losses) - 1,
+                "index": len(self.losses),
                 "init_seed": instance.init_seed,
                 "data_seed": instance.data_seed,
                 "stop_epoch": instance.stop_epoch,
                 "diverged": instance.diverged,
             }
         )
+        self.losses += (instance.final_test_loss,)
 
     def statistics(self) -> dict:
-        summary = summary_statistics(self._losses)
+        summary = summary_statistics(self.losses)
         return {key: summary[key] for key in STAT_KEYS}
 
     def statistic(self, criterion: SelectionCriterion) -> float:
-        return robustness_statistic(self._losses, criterion)
+        return robustness_statistic(self.losses, criterion)
 
     def to_record(self) -> dict:
-        return {
-            "spec_id": self.spec_id,
-            "spec_name": self.spec_name,
-            "mode": self.mode,
-            "sample_size": self.sample_size,
-            "base_seed": self.base_seed,
-            "losses": list(self._losses),
-            "statistics": self.statistics(),
-            "provenance": list(self.provenance),
-        }
+        return {**asdict(self), "statistics": self.statistics()}
 
 
 def _train_task(pool: Dataset, test_set: Dataset, spec: ModelSpec, size: int,
@@ -355,22 +342,7 @@ class SelectionLedger:
     tie: bool = False
 
     def to_record(self) -> dict:
-        return {
-            "rounds": [
-                {
-                    "index": r.index,
-                    "survivors_before": r.survivors_before,
-                    "trained": r.trained,
-                    "removed": list(r.removed),
-                    "rolled_back": r.rolled_back,
-                }
-                for r in self.rounds
-            ],
-            "instance_counts": dict(self.instance_counts),
-            "cumulative_trainings": self.cumulative_trainings,
-            "survivor_ids": list(self.survivor_ids),
-            "tie": self.tie,
-        }
+        return asdict(self)
 
 
 def _round_losses(trainer: TrainerFn, calls: list[tuple], workers: int):

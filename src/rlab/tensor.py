@@ -98,25 +98,22 @@ class Tensor:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _coerce(self, other) -> "Tensor | float":
+    def _coerce(self, other) -> "Tensor":
+        # a python number becomes a constant of self's shape: x + c rounds as x + full(c)
         if isinstance(other, Tensor):
             if other.data.shape != self.data.shape:     # no broadcasting, size 1 included
                 raise ShapeError(
                     f"elementwise op needs matching shapes, got {self.data.shape} and {other.data.shape}")
             return other
-        return float(other)
+        return Tensor(np.full(self.data.shape, float(other)))
 
     def __add__(self, other):
         other = self._coerce(other)
-        if isinstance(other, Tensor):
-            def vjp(g, a=self, b=other):
-                a._accum(g)
-                b._accum(g)
-            return Tensor._result(self.data + other.data, (self, other), "add", vjp)
 
-        def vjp(g, a=self):
+        def vjp(g, a=self, b=other):
             a._accum(g)
-        return Tensor._result(self.data + other, (self,), "add", vjp)
+            b._accum(g)
+        return Tensor._result(self.data + other.data, (self, other), "add", vjp)
 
     __radd__ = __add__
 
@@ -127,48 +124,38 @@ class Tensor:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if isinstance(other, Tensor):
-            def vjp(g, a=self, b=other):
-                a._accum(g)
-                b._accum(-g)
-            return Tensor._result(self.data - other.data, (self, other), "sub", vjp)
 
-        def vjp(g, a=self):
+        def vjp(g, a=self, b=other):
             a._accum(g)
-        return Tensor._result(self.data - other, (self,), "sub", vjp)
+            b._accum(-g)
+        return Tensor._result(self.data - other.data, (self, other), "sub", vjp)
 
     def __rsub__(self, other):
-        return (-self) + float(other)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if isinstance(other, Tensor):
-            def vjp(g, a=self, b=other):
-                a._accum(g * b.data)
-                b._accum(g * a.data)
-            return Tensor._result(self.data * other.data, (self, other), "mul", vjp)
 
-        def vjp(g, a=self, c=other):
-            a._accum(g * c)
-        return Tensor._result(self.data * other, (self,), "mul", vjp)
+        def vjp(g, a=self, b=other):
+            a._accum(g * b.data)
+            b._accum(g * a.data)
+        return Tensor._result(self.data * other.data, (self, other), "mul", vjp)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if not isinstance(other, Tensor):
+            # x * (1/c): true division by c would round differently unless c is a power of two
+            return self * (1.0 / float(other))
         other = self._coerce(other)
-        if isinstance(other, Tensor):
-            def vjp(g, a=self, b=other):
-                a._accum(g / b.data)
-                b._accum(-g * a.data / (b.data * b.data))
-            return Tensor._result(self.data / other.data, (self, other), "div", vjp)
-        return self * (1.0 / other)
+
+        def vjp(g, a=self, b=other):
+            a._accum(g / b.data)
+            b._accum(-g * a.data / (b.data * b.data))
+        return Tensor._result(self.data / other.data, (self, other), "div", vjp)
 
     def __rtruediv__(self, other):
-        c = float(other)
-
-        def vjp(g, a=self):
-            a._accum(-g * c / (a.data * a.data))
-        return Tensor._result(c / self.data, (self,), "rdiv", vjp)
+        return self._coerce(other) / self
 
     def __pow__(self, n):
         if not isinstance(n, (int, float)) or isinstance(n, bool):

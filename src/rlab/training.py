@@ -11,7 +11,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import sys
 import threading
 import time
 from dataclasses import dataclass, asdict
@@ -20,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .calo import Dataset, cluster_barycenter, cluster_energy_sum
-from .errors import ContractError, DivergenceError
+from .errors import ContractError, DivergenceError, require_counts
 from .nn import Model, ModelSpec
 from .optim import make_optimizer
 from .seeding import substream
@@ -83,13 +82,14 @@ class EarlyStopConfig:
     hard_cap: int = 400
 
     def __post_init__(self):
-        if self.window < 1:
+        require_counts(min_epochs=self.min_epochs, window=self.window, hard_cap=self.hard_cap)
+        if not self.window >= 1:
             raise ContractError("window must be >= 1")
-        if self.min_epochs < 1:
+        if not self.min_epochs >= 1:
             raise ContractError("min_epochs must be >= 1")
-        if self.threshold < 0.0:
+        if not self.threshold >= 0.0:      # NaN fails it
             raise ContractError("threshold must be non-negative")
-        if self.hard_cap < self.min_epochs:
+        if not self.hard_cap >= self.min_epochs:
             raise ContractError("hard_cap must be >= min_epochs")
 
     def to_dict(self) -> dict:
@@ -156,17 +156,13 @@ _OPENBLAS_SYMBOLS = (
 )
 
 
+@functools.cache
 def openblas_thread_controls() -> tuple:
     """(path, get, set) of each OpenBLAS mapped into this process, get and
     set being its thread-count functions; empty under another BLAS or where
-    /proc/self/maps is missing.  A library imported after the first call
-    (scipy, at the first sigmoid or gelu model) can map a copy of its own, so
-    the maps are read again whenever the count of imported modules changed."""
-    return _mapped_openblas(len(sys.modules))
-
-
-@functools.lru_cache(maxsize=1)
-def _mapped_openblas(modules: int) -> tuple:
+    /proc/self/maps is missing.  The maps are read once: every product rlab
+    runs is numpy's, and numpy maps its OpenBLAS when it is imported.  A copy
+    mapped later (scipy's, at the first sigmoid or gelu) runs none of them."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split(None, 5)[5].strip() for line in fh
@@ -194,21 +190,20 @@ class _OneBlasThread:
 
     The thread count decides how OpenBLAS splits a matrix product, which can
     move loss bits, and more threads are slower on the small products here.  The
-    count is process-wide: each training to enter pins every copy mapped by
-    then that is not yet held, and the last to leave restores the caller's
-    counts.
+    count is process-wide: the first training to enter pins every copy, and
+    the last to leave restores the caller's counts.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._active = 0
-        self._saved: dict[str, tuple] = {}      # path -> (set, the caller's count)
+        self._saved: list[tuple] = []       # (set, the caller's count) per copy
 
     def __enter__(self):
         with self._lock:
-            for path, get, set_ in openblas_thread_controls():
-                if path not in self._saved:
-                    self._saved[path] = (set_, get())
+            if self._active == 0:
+                self._saved = [(set_, get()) for _, get, set_ in openblas_thread_controls()]
+                for set_, _ in self._saved:
                     set_(1)
             self._active += 1
 
@@ -216,9 +211,8 @@ class _OneBlasThread:
         with self._lock:
             self._active -= 1
             if self._active == 0:
-                for set_, count in self._saved.values():
+                for set_, count in self._saved:
                     set_(count)
-                self._saved = {}
 
 
 _one_blas_thread = _OneBlasThread()
@@ -242,7 +236,8 @@ class TrainedInstance:
     wall_time: float
 
     def to_record(self) -> dict:
-        # wall_time is left out so report files stay bit-reproducible
+        # an allow-list, not asdict: a field reaches instance.json only when
+        # named here, so wall_time (and any later timing) keeps reports bit-reproducible
         return {
             "spec_id": self.spec_id,
             "spec_name": self.spec_name,

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import rlab
 import rlab.cli
+import rlab.training
 from rlab.calo import GeneratorConfig, generate_dataset, load_dataset, save_dataset
 from rlab.cli import (
     EXIT_CONFIG,
@@ -360,6 +361,21 @@ class TestRobustness:
         )
         assert main(["robustness", "--config", cfg, "--out", str(tmp_path)]) == EXIT_DIVERGED
 
+    def test_nan_hard_cap_is_one_config_error_line_before_training(
+            self, tmp_path, data_files, capsys, monkeypatch):
+        # a NaN cap never compares true, so a training under it would not end
+        def no_training(*args, **kwargs):
+            raise AssertionError("a training started")
+
+        monkeypatch.setattr(rlab.training, "fit", no_training)
+        train, test = data_files
+        cfg = write_config(tmp_path / "r.yaml", robustness_config(
+            train, test, stop=dict(ONE_EPOCH, hard_cap=math.nan)))
+        assert ".nan" in open(cfg).read()
+        assert main(["robustness", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: hard_cap takes integers only, got nan\n"
+        assert not (tmp_path / "records.jsonl").exists()
+
 
 class TestSelect:
     def mock_select_body(self, n_specs=8, k=5):
@@ -585,6 +601,9 @@ class TestSelect:
          "learning_rate must be positive"),
         ({"specs": [tiny_spec_dict("a"), dict(tiny_spec_dict("b"), seed_policy="fixed")]},
          "unknown seed policy 'fixed'"),
+        ({"search_space": {"architectures": [tiny_spec_dict("a")], "learning_rates": [0.001],
+                           "batch_sizes": [32.5], "regularizations": [0.01]}},
+         "batch_size takes integers only, got 32.5"),
     ])
     def test_invalid_spec_is_one_config_error_line(self, tmp_path, capsys, block, message):
         # the mock knows every name the grid would carry, so only a check of
@@ -906,6 +925,20 @@ class TestTopLevel:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command, block, message", [
+        ("train", {"preset": 5}, "preset must be a name, got 5"),
+        ("select", {"trainer": 7}, "'trainer' must be a mapping, got 7"),
+        ("select", {"policy": 5}, "'policy' must be a mapping, got 5"),
+        ("select", {"trainer": {"kind": "mock", "losses": 5}}, "'losses' must be a mapping, got 5"),
+    ], ids=["preset", "trainer", "policy", "mock-losses"])
+    def test_malformed_block_is_one_config_error_line(self, tmp_path, capsys, command, block,
+                                                      message):
+        body = {"command": command, "k": 2, "specs": [tiny_spec_dict(n) for n in "AB"],
+                "trainer": {"kind": "mock", "losses": {"A": 0.1, "B": 0.2}}, **block}
+        cfg = write_config(tmp_path / "c.yaml", body)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_command_mismatch(self, tmp_path):
         cfg = write_config(tmp_path / "g.yaml",

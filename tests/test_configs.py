@@ -13,6 +13,7 @@ from rlab.robustness import SelectionCriterion
 from rlab.training import EarlyStopConfig
 
 SPEC = preset_spec("model1")
+NAN = float("nan")
 
 # (a valid instance, a change that makes it invalid, the error type, its message)
 CASES = [
@@ -50,3 +51,44 @@ def test_invalid_instance_cannot_be_built(valid, change, error, message, how):
         else:
             dataclasses.replace(valid, **change)
     assert type(caught.value) is error
+
+
+# NaN passes any check written as `value < bound`, and a float or bool count
+# would build a spec with an id of its own
+NOT_A_NUMBER_OR_COUNT = [
+    (OptimizerConfig("adam"), {"learning_rate": NAN}, ContractError,
+     "learning_rate must be positive"),
+    (OptimizerConfig("adamw"), {"weight_decay": NAN}, ContractError,
+     "regularization strengths must be non-negative"),
+    (EarlyStopConfig(), {"hard_cap": NAN}, ContractError, "hard_cap takes integers only, got nan"),
+    (EarlyStopConfig(), {"threshold": NAN}, ContractError, "threshold must be non-negative"),
+    (EarlyStopConfig(), {"window": 2.5}, ContractError, "window takes integers only, got 2.5"),
+    (EarlyStopConfig(), {"min_epochs": True}, ContractError,
+     "min_epochs takes integers only, got True"),
+    (GeneratorConfig(), {"energy_range": (1.0, float("inf"))}, ContractError,
+     "energy_range must be finite, got (1.0, inf)"),
+    *((GeneratorConfig(), {key: NAN}, ContractError, message) for key, message in (
+        ("core_width", "profile widths must be positive"),
+        ("halo_width", "profile widths must be positive"),
+        ("angle_bound", "angle_bound and shower_depth must be non-negative"),
+        ("shower_depth", "angle_bound and shower_depth must be non-negative"),
+        ("resolution_a", "resolution terms must be non-negative"),
+        ("noise_b", "resolution terms must be non-negative"))),
+    (SPEC, {"batch_size": 32.5}, ContractError, "batch_size takes integers only, got 32.5"),
+    (SPEC, {"batch_size": True}, ContractError, "batch_size takes integers only, got True"),
+    (SPEC, {"conv_layers": ((32, 3.5), (64, 3))}, ContractError,
+     "conv_layers takes integers only, got ((32, 3.5), (64, 3))"),
+    (SPEC, {"pool_layers": ((2, 2), (2.0, 1))}, ContractError,
+     "pool_layers takes integers only, got ((2, 2), (2.0, 1))"),
+    (SPEC, {"fc_layers": (9.0, 1)}, ContractError, "fc_layers takes integers only, got (9.0, 1)"),
+    (SPEC, {"aux_injection_layer": False}, ContractError,
+     "aux_injection_layer takes integers only, got False"),
+]
+
+
+@pytest.mark.parametrize("how", ["constructor", "replace"])
+@pytest.mark.parametrize("valid, change, error, message", NOT_A_NUMBER_OR_COUNT,
+                         ids=[f"{type(c[0]).__name__}-{k}={v!r}"
+                              for c in NOT_A_NUMBER_OR_COUNT for k, v in c[1].items()])
+def test_nan_or_non_integer_count_cannot_be_built(valid, change, error, message, how):
+    test_invalid_instance_cannot_be_built(valid, change, error, message, how)

@@ -239,6 +239,19 @@ class TestRobustnessRecord:
         rec.add(fake_instance(1.0, diverged=False))
         json.dumps(rec.to_record())
 
+    def test_record_keys_are_pinned(self):
+        # records.jsonl is byte-compared: a field added to RobustnessRecord
+        # must not reach it unnoticed
+        rec = RobustnessRecord(spec_id="s", spec_name="s", mode="both_random",
+                               sample_size=10, base_seed=0)
+        rec.add(fake_instance(1.0, data_seed=4))
+        record = rec.to_record()
+        assert set(record) == {"spec_id", "spec_name", "mode", "sample_size", "base_seed",
+                               "losses", "statistics", "provenance"}
+        assert set(record["statistics"]) == set(STAT_KEYS)
+        assert [set(p) for p in record["provenance"]] == [
+            {"index", "init_seed", "data_seed", "stop_epoch", "diverged"}]
+
 
 def tiny_spec(name="tiny"):
     return ModelSpec(

@@ -305,6 +305,13 @@ class TestFiniteDiffOracle:
         sampled = finite_diff_check(loss, [w], sample_limit=10, seed=1)
         assert sampled <= full + 1e-12
 
+    @pytest.mark.parametrize("op", [lambda c, x: c + x, lambda c, x: c - x,
+                                    lambda c, x: c * x, lambda c, x: c / x],
+                             ids=["add", "sub", "mul", "div"])
+    def test_number_on_the_left(self, op):
+        x = Tensor(np.random.default_rng(25).normal(2.0, 0.3, (3, 4)), requires_grad=True)
+        self.check(lambda: (op(1.7, x) ** 2).mean(), [x])
+
     def test_zero_step_rejected(self):
         w = rnd((2,), 24)
         with pytest.raises(ContractError):
@@ -318,6 +325,16 @@ class TestArithmetic:
         (a / b).sum().backward()
         np.testing.assert_allclose(a.grad, [1.0 / 3.0])
         np.testing.assert_allclose(b.grad, [-6.0 / 9.0])
+
+    def test_number_operand_rounds_as_numpy_does(self):
+        # a number becomes a constant tensor; x / c stays x * (1 / c)
+        x = Tensor(np.random.default_rng(26).normal(size=(2, 3)))
+        c = 0.3
+        pairs = [(x + c, x.data + c), (c + x, c + x.data), (x - c, x.data - c),
+                 (c - x, c - x.data), (x * c, x.data * c), (c * x, c * x.data),
+                 (x / c, x.data * (1.0 / c)), (c / x, c / x.data)]
+        for got, want in pairs:
+            assert got.data.tobytes() == want.tobytes()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
