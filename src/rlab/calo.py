@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, asdict
@@ -277,7 +278,7 @@ def load_dataset(path: str) -> Dataset:
     So does an invalid generator config, a non-finite value or an energy
     that is not above 0: the first bad event is named.
     """
-    with open(path, "rb") as fh:
+    with open(os.fspath(path), "rb") as fh:     # open() takes an int or a bool as a fd
         raw = fh.read()
     if len(raw) < 10 or raw[:4] != MAGIC:
         raise DatasetFormatError(f"{path}: not a dataset file (bad magic)")

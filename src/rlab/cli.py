@@ -19,13 +19,15 @@ import subprocess
 import sys
 from dataclasses import dataclass
 
+import numpy as np
 import yaml
 
 # bootstrap_sample is not called here; perfbench traces rlab.cli.bootstrap_sample
 from .calo import bootstrap_sample  # noqa: F401
-from .calo import (Dataset, GeneratorConfig, generate_dataset, load_dataset,
-                   sample_size_schedule, save_dataset)
-from .errors import ConfigError, ContractError, DatasetFormatError, WorkerLostError
+from .calo import (GeneratorConfig, generate_dataset, load_dataset, sample_size_schedule,
+                   save_dataset)
+from .errors import (ConfigError, ContractError, DatasetFormatError, WorkerLostError,
+                     require_counts, require_reals)
 from .nn import (ModelSpec, SearchSpace, TARGETS, enumerate_search_space,
                  preset_spec, reference_search_space)
 from .robustness import (
@@ -83,56 +85,34 @@ class ExperimentConfig:
 # -- small shared pieces ---------------------------------------------------------------
 
 
-def _require(body: dict, key: str):
-    if key not in body:
-        raise ConfigError(f"missing config key {key!r}")
-    return body[key]
-
-
-def _mapping(body: dict, key: str, default: dict | None = None) -> dict:
-    """The block under key, which must be a mapping; required unless a default is given."""
-    d = _require(body, key) if default is None else body.get(key, default)
+def _block(build, d, name: str, *args):
+    """build(*args, **d) for the config block d: the one place a block is
+    unpacked, so a missing, unknown or misspelled key is a TypeError naming it."""
     if not isinstance(d, dict):
-        raise ConfigError(f"{key!r} must be a mapping, got {d!r}")
-    return d
+        raise ConfigError(f"{name!r} must be a mapping, got {d!r}")
+    return build(*args, **d)
 
 
-def _spec_from(body: dict) -> ModelSpec:
-    if "preset" in body:
-        if not isinstance(body["preset"], str):
-            raise ConfigError(f"preset must be a name, got {body['preset']!r}")
-        return preset_spec(body["preset"])
-    if "spec" in body:
-        return ModelSpec.from_dict(body["spec"])
-    raise ConfigError("need a 'spec' block or a 'preset' name")
+def _kind_block(table: dict, d, name: str, *args, default: str | None = None):
+    """_block with the builder table[kind], kind being the block's own 'kind' key."""
+    d = _block(dict, d, name)
+    kind = d.pop("kind", default)
+    if kind not in table:
+        raise ConfigError(f"unknown {name} kind {kind!r}")
+    return _block(table[kind], d, name, *args)
 
 
-def _stop_from(body: dict) -> EarlyStopConfig:
-    return EarlyStopConfig(**body["stop"]) if "stop" in body else EarlyStopConfig()
+def _spec_from(preset: str | None, spec: dict | None) -> ModelSpec:
+    if (preset is None) == (spec is None):
+        raise ConfigError("need exactly one of a 'spec' block and a 'preset' name")
+    if spec is not None:
+        return ModelSpec.from_dict(spec)
+    if not isinstance(preset, str):
+        raise ConfigError(f"preset must be a name, got {preset!r}")
+    return preset_spec(preset)
 
 
-def _datasets_from(body: dict) -> tuple[Dataset, Dataset]:
-    """The (train_data, test_data) pair the body names."""
-    return load_dataset(_require(body, "train_data")), load_dataset(_require(body, "test_data"))
-
-
-def _criterion_from(d: dict) -> SelectionCriterion:
-    if not isinstance(d, dict):
-        raise ConfigError(f"a criterion must be a mapping, got {d!r}")
-    return SelectionCriterion(kind=d.get("kind", "mean"), quantile=d.get("quantile"))
-
-
-def _policy_from(body: dict):
-    d = _mapping(body, "policy", {})
-    kind = d.get("kind", "halving")
-    if kind == "halving":
-        return HalvingPolicy(start_round=int(d.get("start_round", 1)))
-    if kind == "baseline_gate":
-        return BaselineGatePolicy(
-            reference_loss=float(_require(d, "reference_loss")),
-            margin=float(d.get("margin", 0.2)),
-        )
-    raise ConfigError(f"unknown policy {kind!r}")
+POLICIES = {"halving": HalvingPolicy, "baseline_gate": BaselineGatePolicy}
 
 
 def _cell(v) -> str:
@@ -170,14 +150,14 @@ def _box_row(box: dict) -> list:
 # -- command handlers --------------------------------------------------------------------
 
 
-def cmd_gen_data(body: dict, out_dir: str, workers: int) -> int:
-    gen = GeneratorConfig(**body.get("generator", {}))
-    n = int(_require(body, "n"))
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    seed = int(_require(body, "seed"))
+# A handler's keyword-only parameters are its command's config keys: the signatures
+# are the key table.  A block's {} default is only ever unpacked, never changed.
+def cmd_gen_data(out_dir: str, workers: int, *, n: int, seed: int, generator: dict = {},
+                 filename: str = "events.rlab") -> int:
+    require_counts(n=n, seed=seed)
+    gen = _block(GeneratorConfig, generator, "generator")
     dataset = generate_dataset(gen, n, seed)
-    path = os.path.join(out_dir, body.get("filename", "events.rlab"))
+    path = os.path.join(out_dir, filename)
     save_dataset(dataset, path)
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
@@ -185,11 +165,13 @@ def cmd_gen_data(body: dict, out_dir: str, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_train(body: dict, out_dir: str, workers: int) -> int:
-    spec = _spec_from(body)
-    train_set, test_set = _datasets_from(body)
-    init_seed = int(_require(body, "init_seed"))
-    inst = train_instance(spec, train_set, test_set, init_seed, stop=_stop_from(body))
+def cmd_train(out_dir: str, workers: int, *, train_data: str, test_data: str, init_seed: int,
+              preset: str | None = None, spec: dict | None = None, stop: dict = {}) -> int:
+    require_counts(init_seed=init_seed)
+    spec = _spec_from(preset, spec)
+    stop = _block(EarlyStopConfig, stop, "stop")
+    train_set, test_set = load_dataset(train_data), load_dataset(test_data)
+    inst = train_instance(spec, train_set, test_set, init_seed, stop=stop)
     _write_json(os.path.join(out_dir, "instance.json"), inst.to_record())
     _write_csv(
         os.path.join(out_dir, "trace.csv"),
@@ -201,20 +183,16 @@ def cmd_train(body: dict, out_dir: str, workers: int) -> int:
     return EXIT_DIVERGED if inst.diverged else EXIT_OK
 
 
-def cmd_robustness(body: dict, out_dir: str, workers: int) -> int:
-    spec = _spec_from(body)
-    pool, test_set = _datasets_from(body)
-    record = run_instances(
-        spec,
-        k=int(_require(body, "k")),
-        pool=pool,
-        test_set=test_set,
-        mode=body.get("mode", "both_random"),
-        base_seed=int(body.get("base_seed", 0)),
-        sample_size=body.get("sample_size"),
-        stop=_stop_from(body),
-        workers=workers,
-    )
+def cmd_robustness(out_dir: str, workers: int, *, train_data: str, test_data: str, k: int,
+                   preset: str | None = None, spec: dict | None = None,
+                   mode: str = "both_random", base_seed: int = 0,
+                   sample_size: int | None = None, stop: dict = {}) -> int:
+    spec = _spec_from(preset, spec)
+    stop = _block(EarlyStopConfig, stop, "stop")
+    pool, test_set = load_dataset(train_data), load_dataset(test_data)
+    record = run_instances(spec, k=k, pool=pool, test_set=test_set, mode=mode,
+                           base_seed=base_seed, sample_size=sample_size, stop=stop,
+                           workers=workers)
     _write_jsonl(os.path.join(out_dir, "records.jsonl"), [record.to_record()])
     _write_csv(
         os.path.join(out_dir, "losses.csv"),
@@ -240,115 +218,117 @@ def cmd_robustness(body: dict, out_dir: str, workers: int) -> int:
     return EXIT_DIVERGED if all(math.isinf(v) for v in record.losses) else EXIT_OK
 
 
-def _specs_from(body: dict) -> list[ModelSpec]:
-    if "specs" in body:
-        return [ModelSpec.from_dict(d) for d in body["specs"]]
-    if "search_space" in body:
-        s = body["search_space"]
-        if "reference" in s:    # the bundled 6,912-spec grid, keyed by target
-            target = str(s["reference"])
-            if target not in TARGETS:
-                raise ConfigError(f"unknown reference target {target!r}")
-            return enumerate_search_space(reference_search_space(target))
-        space = SearchSpace(
-            architectures=tuple(ModelSpec.from_dict(d) for d in _require(s, "architectures")),
-            learning_rates=tuple(float(v) for v in _require(s, "learning_rates")),
-            batch_sizes=tuple(_require(s, "batch_sizes")),     # each spec checks its own
-            regularizations=tuple(float(v) for v in _require(s, "regularizations")),
-        )
-        return enumerate_search_space(space)
-    raise ConfigError("need a 'specs' list or a 'search_space' block")
+def _grid_specs(reference: str | None = None, architectures=(), learning_rates=(),
+                batch_sizes=(), regularizations=()) -> list[ModelSpec]:
+    """The specs a search_space block expands to; each spec checks its own values."""
+    if reference is not None:     # the bundled 6,912-spec grid, keyed by target
+        if reference not in TARGETS:
+            raise ConfigError(f"unknown reference target {reference!r}")
+        return enumerate_search_space(reference_search_space(reference))
+    return enumerate_search_space(SearchSpace(
+        tuple(ModelSpec.from_dict(d) for d in architectures),
+        learning_rates, batch_sizes, regularizations))
+
+
+def _specs_from(specs: list | None = None, search_space: dict | None = None) -> list[ModelSpec]:
+    if (specs is None) == (search_space is None):
+        raise ConfigError("need exactly one of a 'specs' list and a 'search_space' block")
+    if specs is not None:
+        return [ModelSpec.from_dict(d) for d in specs]
+    return _block(_grid_specs, search_space, "search_space")
 
 
 @contextlib.contextmanager
-def _trainer_from(body: dict, workers: int):
-    """Yields (trainer, how many of its calls may run at once).
+def _mock_trainer(workers: int, *, losses: dict, noise: float = 0.0):
+    """Looks each spec's loss up by name; does no real work, so stays serial."""
+    table = _block(dict, losses, "losses")
+    require_reals(noise=noise, **{f"losses[{name!r}]": v for name, v in table.items()})
 
-    The mock trainer does no real work and stays serial; the external
-    commands run side by side; the instances trainer hands each training to
-    a worker process, so its calls run in parallel on threads that wait.
-    """
-    d = _mapping(body, "trainer")
-    kind = d.get("kind")
-    if kind == "mock":
-        table = {str(k): float(v) for k, v in _mapping(d, "losses").items()}
-        noise = float(d.get("noise", 0.0))
+    def mock_trainer(spec, round_index, seed):
+        if spec.name not in table:
+            raise ConfigError(f"mock trainer has no loss for spec {spec.name!r}")
+        base = table[spec.name]
+        if noise == 0.0:
+            return base
+        return base + float(np.random.default_rng(seed).normal(0.0, noise))
 
-        def mock_trainer(spec, round_index, seed):
-            if spec.name not in table:
-                raise ConfigError(f"mock trainer has no loss for spec {spec.name!r}")
-            base = table[spec.name]
-            if noise == 0.0:
-                return base
-            import numpy as np
+    yield mock_trainer, 1
 
-            return base + float(np.random.default_rng(seed).normal(0.0, noise))
 
-        yield mock_trainer, 1
-    elif kind == "command":
-        argv = [str(a) for a in _require(d, "argv")]
-        timeout = d.get("timeout")      # seconds per call; absent: no limit
-        if timeout is not None and not (type(timeout) in (int, float) and 0 < timeout < math.inf):
+@contextlib.contextmanager
+def _command_trainer(workers: int, *, argv: list, timeout: float | None = None):
+    """Runs an external command per training, side by side; timeout: seconds per call."""
+    argv = [str(a) for a in argv]
+    if timeout is not None:
+        require_reals(timeout=timeout)
+        if not 0 < timeout < math.inf:
             raise ConfigError(f"trainer timeout must be a positive number of seconds, "
                               f"got {timeout!r}")
 
-        def command_trainer(spec, round_index, seed):
-            env = dict(os.environ,
-                       RLAB_SPEC_ID=spec.spec_id(),
-                       RLAB_SPEC_NAME=spec.name,
-                       RLAB_ROUND=str(round_index),
-                       RLAB_SEED=str(seed))
-            try:
-                proc = subprocess.run(argv, input=json.dumps(spec.to_dict()),
-                                      capture_output=True, text=True, env=env, timeout=timeout)
-            except subprocess.TimeoutExpired:
-                raise DatasetFormatError(f"external trainer for spec {spec.name!r} ran past "
-                                         f"its {timeout!r} s timeout and was killed") from None
-            if proc.returncode != 0:
-                raise DatasetFormatError(f"external trainer exited {proc.returncode} for spec "
-                                         f"{spec.name!r}; stderr: {proc.stderr[-500:]!r}")
-            try:
-                loss = float(proc.stdout.strip().splitlines()[-1])
-            except (ValueError, IndexError):
-                loss = math.nan
-            if math.isnan(loss) or loss == -math.inf:     # +inf is a diverged instance
-                raise DatasetFormatError(f"external trainer printed no loss for spec "
-                                         f"{spec.name!r}: {proc.stdout!r}")
-            return loss
+    def command_trainer(spec, round_index, seed):
+        env = dict(os.environ,
+                   RLAB_SPEC_ID=spec.spec_id(),
+                   RLAB_SPEC_NAME=spec.name,
+                   RLAB_ROUND=str(round_index),
+                   RLAB_SEED=str(seed))
+        try:
+            proc = subprocess.run(argv, input=json.dumps(spec.to_dict()),
+                                  capture_output=True, text=True, env=env, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            raise DatasetFormatError(f"external trainer for spec {spec.name!r} ran past "
+                                     f"its {timeout!r} s timeout and was killed") from None
+        if proc.returncode != 0:
+            raise DatasetFormatError(f"external trainer exited {proc.returncode} for spec "
+                                     f"{spec.name!r}; stderr: {proc.stderr[-500:]!r}")
+        try:
+            loss = float(proc.stdout.strip().splitlines()[-1])
+        except (ValueError, IndexError):
+            loss = math.nan
+        if math.isnan(loss) or loss == -math.inf:     # +inf is a diverged instance
+            raise DatasetFormatError(f"external trainer printed no loss for spec "
+                                     f"{spec.name!r}: {proc.stdout!r}")
+        return loss
 
-        yield command_trainer, workers
-    elif kind == "instances":
-        pool, test_set = _datasets_from(d)
-        stop = _stop_from(d)
-        size = len(pool) if d.get("sample_size") is None else int(d["sample_size"])
-
-        with InstanceRunner(pool, test_set, workers) as runner:
-            def instance_trainer(spec, round_index, seed):
-                task = (spec, size, substream_seed(seed, "data"), substream_seed(seed, "init"),
-                        stop)
-                return runner.train([task])[0].final_test_loss
-
-            yield instance_trainer, workers
-    else:
-        raise ConfigError(f"unknown trainer kind {kind!r}")
+    yield command_trainer, workers
 
 
-def cmd_select(body: dict, out_dir: str, workers: int) -> int:
-    specs = _specs_from(body)
-    k = int(_require(body, "k"))     # read only for the "vs exhaustive" line
+@contextlib.contextmanager
+def _instances_trainer(workers: int, *, train_data: str, test_data: str,
+                       sample_size: int | None = None, stop: dict = {}):
+    """Hands each training to a worker process; its calls are threads that wait."""
+    stop = _block(EarlyStopConfig, stop, "stop")
+    pool, test_set = load_dataset(train_data), load_dataset(test_data)
+    size = len(pool) if sample_size is None else sample_size
+    require_counts(sample_size=size)
+
+    with InstanceRunner(pool, test_set, workers) as runner:
+        def instance_trainer(spec, round_index, seed):
+            task = (spec, size, substream_seed(seed, "data"), substream_seed(seed, "init"),
+                    stop)
+            return runner.train([task])[0].final_test_loss
+
+        yield instance_trainer, workers
+
+
+# trainer kind -> context manager yielding (trainer, how many of its calls may run at once)
+TRAINERS = {"mock": _mock_trainer, "command": _command_trainer,
+            "instances": _instances_trainer}
+
+
+def cmd_select(out_dir: str, workers: int, *, k: int, trainer: dict,
+               specs: list | None = None, search_space: dict | None = None,
+               criterion: dict = {}, policy: dict = {}, max_rounds: int = 50,
+               base_seed: int = 0) -> int:
+    require_counts(k=k)     # read only for the "vs exhaustive" line
     if k < 1:
         raise ConfigError("k must be >= 1")
-    criterion, policy = _criterion_from(body.get("criterion", {})), _policy_from(body)
-    with _trainer_from(body, workers) as (trainer, concurrency):
-        winners, ledger = select_models(
-            specs,
-            criterion=criterion,
-            policy=policy,
-            trainer=trainer,
-            max_rounds=int(body.get("max_rounds", 50)),
-            base_seed=int(body.get("base_seed", 0)),
-            workers=concurrency,
-        )
+    specs = _specs_from(specs, search_space)
+    criterion = _block(SelectionCriterion, criterion, "criterion")
+    policy = _kind_block(POLICIES, policy, "policy", default="halving")
+    with _kind_block(TRAINERS, trainer, "trainer", workers) as (trainer, concurrency):
+        winners, ledger = select_models(specs, criterion=criterion, policy=policy,
+                                        trainer=trainer, max_rounds=max_rounds,
+                                        base_seed=base_seed, workers=concurrency)
     _write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
     _write_json(
         os.path.join(out_dir, "winners.json"),
@@ -367,23 +347,20 @@ def cmd_select(body: dict, out_dir: str, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(body: dict, out_dir: str, workers: int) -> int:
-    spec = _spec_from(body)
-    train_pool, test_pool = _datasets_from(body)
-    if "sizes" in body:     # explicit sizes win over schedule indices
-        sizes = [int(n) for n in body["sizes"]]
-    else:
-        sizes = [sample_size_schedule(int(i)) for i in body.get("indices", [])]
-    rows = sample_size_sweep(
-        spec,
-        sizes=sizes,
-        k=int(_require(body, "k")),
-        train_pool=train_pool,
-        test_pool=test_pool,
-        base_seed=int(body.get("base_seed", 0)),
-        stop=_stop_from(body),
-        workers=workers,
-    )
+def cmd_sweep(out_dir: str, workers: int, *, train_data: str, test_data: str, k: int,
+              preset: str | None = None, spec: dict | None = None, sizes: list | None = None,
+              indices: list | None = None, base_seed: int = 0, stop: dict = {}) -> int:
+    spec = _spec_from(preset, spec)
+    stop = _block(EarlyStopConfig, stop, "stop")
+    if (sizes is None) == (indices is None):
+        raise ConfigError("need exactly one of a 'sizes' list and an 'indices' list")
+    if indices is not None:
+        require_counts(indices=tuple(indices))
+        sizes = [sample_size_schedule(i) for i in indices]
+    train_pool, test_pool = load_dataset(train_data), load_dataset(test_data)
+    rows = sample_size_sweep(spec, sizes=sizes, k=k, train_pool=train_pool,
+                             test_pool=test_pool, base_seed=base_seed, stop=stop,
+                             workers=workers)
     _write_csv(
         os.path.join(out_dir, "sweep.csv"),
         ["n"] + BOX_COLUMNS,
@@ -397,10 +374,12 @@ def cmd_sweep(body: dict, out_dir: str, workers: int) -> int:
     return EXIT_DIVERGED if rows and all(math.isinf(r["box"]["min"]) for r in rows) else EXIT_OK
 
 
-def cmd_report(body: dict, out_dir: str, workers: int) -> int:
-    path = _require(body, "records")
+def cmd_report(out_dir: str, workers: int, *, records: str,
+               criteria: list = [{"kind": k} for k in ("mean", "median", "min", "max", "std")],
+               ) -> int:
+    criteria = [_block(SelectionCriterion, d, "criterion") for d in criteria]
     rows = []       # (spec_id, losses, summary statistics); all are checked before any output
-    with open(path) as fh:
+    with open(os.fspath(records)) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -409,11 +388,9 @@ def cmd_report(body: dict, out_dir: str, workers: int) -> int:
                 rows.append((str(rec["spec_id"]), rec["losses"],
                              summary_statistics(rec["losses"])))
             except (ValueError, KeyError, TypeError) as e:     # JSON, keys or losses
-                raise DatasetFormatError(f"{path} line {number}: bad record: {e!r}") from None
+                raise DatasetFormatError(f"{records} line {number}: bad record: {e!r}") from None
     if not rows:
-        raise DatasetFormatError(f"{path}: no records")
-    criteria = [_criterion_from(d) for d in body.get(
-        "criteria", [{"kind": k} for k in ("mean", "median", "min", "max", "std")])]
+        raise DatasetFormatError(f"{records}: no records")
     _write_csv(
         os.path.join(out_dir, "stats.csv"),
         ["spec_id", "n", *STAT_KEYS],
@@ -490,12 +467,13 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 f"config is for {config.command!r}, invoked as {args.command!r}")
         workers = _resolve_workers(args.workers)
-        out_dir = args.out or config.body.get("out_dir", ".")
-        os.makedirs(out_dir, exist_ok=True)
         body = dict(config.body)
+        out_dir = body.pop("out_dir", ".")
+        out_dir = args.out or out_dir
+        os.makedirs(out_dir, exist_ok=True)
         if args.seed is not None and config.command in SEED_KEYS:
             body[SEED_KEYS[config.command]] = args.seed
-        return HANDLERS[config.command](body, out_dir, workers)
+        return HANDLERS[config.command](out_dir, workers, **body)
     except DatasetFormatError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

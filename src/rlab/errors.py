@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package, and the count check that raises one."""
+"""Exception taxonomy shared across the package, and the type checks that raise one."""
 
 from itertools import chain
 
@@ -43,12 +43,22 @@ class ConfigError(ValueError):
     """An experiment config file is missing keys or holds invalid values."""
 
 
+def _require_types(allowed: set, what: str, values: dict) -> None:
+    if not set(map(type, values.values())) <= allowed:     # one pass in C: a grid builds thousands
+        for name, value in values.items():
+            items = value if type(value) is tuple else (value,)
+            if items and type(items[0]) is tuple:       # conv and pool layers: pairs
+                items = tuple(chain.from_iterable(items))
+            if not set(map(type, items)) <= allowed:
+                raise ContractError(f"{name} takes {what} only, got {value!r}")
+
+
 def require_counts(**values) -> None:
     """Raise ContractError unless each value is an int, or a tuple of ints or
     of int tuples; a bool or an integral float is not a count."""
-    for name, value in values.items():
-        items = value if type(value) is tuple else (value,)
-        if items and type(items[0]) is tuple:       # conv and pool layers: pairs
-            items = tuple(chain.from_iterable(items))
-        if not set(map(type, items)) <= {int}:      # one pass in C: a grid builds thousands
-            raise ContractError(f"{name} takes integers only, got {value!r}")
+    _require_types({int}, "integers", values)
+
+
+def require_reals(**values) -> None:
+    """The same for numbers: an int or a float, not a bool or a numeric string."""
+    _require_types({int, float}, "numbers", values)

@@ -414,9 +414,10 @@ def enumerate_search_space(space: SearchSpace) -> list[ModelSpec]:
         slot, other = (("weight_decay", "l2") if arch.optimizer.kind == "adamw"
                        else ("l2", "weight_decay"))
         for lr in space.learning_rates:
+            opts = [replace(arch.optimizer, learning_rate=lr, **{slot: reg, other: 0.0})
+                    for reg in space.regularizations]     # the same at every batch size
             for bs in space.batch_sizes:
-                for reg in space.regularizations:
-                    opt = replace(arch.optimizer, learning_rate=lr, **{slot: reg, other: 0.0})
+                for reg, opt in zip(space.regularizations, opts):
                     spec = replace(arch, optimizer=opt, batch_size=bs,
                                    name=f"{arch.name}-lr{lr:g}-bs{bs}-reg{reg:g}")
                     sid = spec.spec_id()

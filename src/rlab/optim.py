@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CatalogueError, ContractError, DivergenceError
+from .errors import CatalogueError, ContractError, DivergenceError, require_reals
 from .tensor import Tensor
 
 KINDS = ("sgd", "adam", "adamw", "adagrad", "rmsprop", "adadelta", "nadam")
@@ -36,11 +36,16 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise CatalogueError(f"unknown optimizer kind {self.kind!r}, expected one of {KINDS}")
+        require_reals(**{name: getattr(self, name) for name in _CONFIG_FIELDS[1:]})
         # positive forms throughout, so that NaN fails each check
         if not self.learning_rate > 0.0:
             raise ContractError("learning_rate must be positive")
         if not (self.l2 >= 0.0 and self.weight_decay >= 0.0):
             raise ContractError("regularization strengths must be non-negative")
+        if not all(0.0 <= b < 1.0 for b in (self.beta1, self.beta2, self.rms_decay, self.rho)):
+            raise ContractError("beta1, beta2, rms_decay and rho must be in [0, 1)")
+        if not self.epsilon > 0.0:
+            raise ContractError("epsilon must be positive")
         if self.kind == "adamw":
             if self.l2 != 0.0:
                 raise ContractError("adamw regularizes via weight_decay, not l2")

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calo import Dataset, bootstrap_sample, subsample
-from .errors import ContractError, WorkerLostError
+from .errors import ContractError, WorkerLostError, require_counts, require_reals
 from .nn import ModelSpec
 from .seeding import substream_seed
 from .training import EarlyStopConfig, TrainedInstance, train_instance
@@ -245,14 +245,15 @@ def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
     bootstrap draw and a fixed-init run shares one starting point.  Instances
     are independent; worker count changes wall time only, never the record.
     """
+    size = len(pool) if sample_size is None else sample_size
+    require_counts(k=k, sample_size=size, base_seed=base_seed)
     if k < 1:
         raise ContractError(f"need at least one instance, got k={k}")
     if mode not in RANDOMIZATION_MODES:
         raise ContractError(f"unknown randomization mode {mode!r}")
-    size = len(pool) if sample_size is None else int(sample_size)
     record = RobustnessRecord(
         spec_id=spec.spec_id(), spec_name=spec.name, mode=mode,
-        sample_size=size, base_seed=int(base_seed),
+        sample_size=size, base_seed=base_seed,
     )
     tasks = []
     for i in range(k):
@@ -286,6 +287,7 @@ class HalvingPolicy:
     """
 
     def __init__(self, start_round: int = 1):
+        require_counts(start_round=start_round)
         if start_round < 1:
             raise ContractError("start_round must be >= 1")
         self.start_round = start_round
@@ -302,9 +304,10 @@ class BaselineGatePolicy:
     margin; afterwards the worst half goes each round."""
 
     def __init__(self, reference_loss: float, margin: float = 0.2):
+        require_reals(reference_loss=reference_loss, margin=margin)
         if not math.isfinite(reference_loss) or reference_loss <= 0:
             raise ContractError("reference loss must be finite and positive")
-        if margin < 0:
+        if not margin >= 0:     # NaN fails it
             raise ContractError("margin must be non-negative")
         self.reference_loss = reference_loss
         self.margin = margin
@@ -372,6 +375,7 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
     not depend on the worker count.  A failing call raises once the calls
     before it have returned: the first failure in survivor order, as serially.
     """
+    require_counts(max_rounds=max_rounds, base_seed=base_seed)
     specs = list(specs)
     if not specs:
         raise ContractError("nothing to select from")
@@ -452,16 +456,17 @@ def sample_size_sweep(spec: ModelSpec, sizes: Sequence[int], k: int,
 
     Rows carry the raw losses and their summary statistics, ready for tabulation.
     """
+    require_counts(sizes=tuple(sizes), base_seed=base_seed)
     rows = []
     for n in sizes:
-        seed = substream_seed(base_seed, "sweep", int(n))
-        test_set = subsample(test_pool, int(n), seed=substream_seed(seed, "test"))
+        seed = substream_seed(base_seed, "sweep", n)
+        test_set = subsample(test_pool, n, seed=substream_seed(seed, "test"))
         record = run_instances(
             spec, k, train_pool, test_set, mode="both_random",
-            base_seed=seed, sample_size=int(n), stop=stop, workers=workers,
+            base_seed=seed, sample_size=n, stop=stop, workers=workers,
         )
         rows.append({
-            "n": int(n),
+            "n": n,
             "losses": list(record.losses),
             "box": summary_statistics(record.losses),
         })

@@ -619,11 +619,11 @@ class TestSelect:
     def test_reference_search_space_shortcut(self):
         from rlab.cli import _specs_from
 
-        specs = _specs_from({"search_space": {"reference": "energy"}})
+        specs = _specs_from(search_space={"reference": "energy"})
         assert len(specs) == 6912
         assert len({s.spec_id() for s in specs}) == 6912
         with pytest.raises(ConfigError):
-            _specs_from({"search_space": {"reference": "bogus"}})
+            _specs_from(search_space={"reference": "bogus"})
 
 
 SWEEP_HEADER = "n,min,q1,median,q3,max,whisker_lo,whisker_hi,outliers"
@@ -932,10 +932,13 @@ class TestTopLevel:
         ("select", {"policy": 5}, "'policy' must be a mapping, got 5"),
         ("select", {"trainer": {"kind": "mock", "losses": 5}}, "'losses' must be a mapping, got 5"),
     ], ids=["preset", "trainer", "policy", "mock-losses"])
-    def test_malformed_block_is_one_config_error_line(self, tmp_path, capsys, command, block,
-                                                      message):
-        body = {"command": command, "k": 2, "specs": [tiny_spec_dict(n) for n in "AB"],
-                "trainer": {"kind": "mock", "losses": {"A": 0.1, "B": 0.2}}, **block}
+    def test_malformed_block_is_one_config_error_line(self, tmp_path, capsys, data_files,
+                                                      command, block, message):
+        train, test = data_files
+        valid = {"train": {"train_data": train, "test_data": test, "init_seed": 5},
+                 "select": {"k": 2, "specs": [tiny_spec_dict(n) for n in "AB"],
+                            "trainer": {"kind": "mock", "losses": {"A": 0.1, "B": 0.2}}}}
+        body = {"command": command, **valid[command], **block}
         cfg = write_config(tmp_path / "c.yaml", body)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"

@@ -9,7 +9,7 @@ from rlab.calo import GeneratorConfig
 from rlab.errors import CatalogueError, ContractError, ShapeError
 from rlab.nn import SearchSpace, preset_spec
 from rlab.optim import OptimizerConfig
-from rlab.robustness import SelectionCriterion
+from rlab.robustness import BaselineGatePolicy, HalvingPolicy, SelectionCriterion
 from rlab.training import EarlyStopConfig
 
 SPEC = preset_spec("model1")
@@ -83,6 +83,23 @@ NOT_A_NUMBER_OR_COUNT = [
     (SPEC, {"fc_layers": (9.0, 1)}, ContractError, "fc_layers takes integers only, got (9.0, 1)"),
     (SPEC, {"aux_injection_layer": False}, ContractError,
      "aux_injection_layer takes integers only, got False"),
+    # a real-valued field takes an int or a float; nothing casts a config value
+    (OptimizerConfig("adam"), {"learning_rate": True}, ContractError,
+     "learning_rate takes numbers only, got True"),
+    (OptimizerConfig("adam"), {"l2": "0.01"}, ContractError, "l2 takes numbers only, got '0.01'"),
+    (OptimizerConfig("adamw"), {"weight_decay": None}, ContractError,
+     "weight_decay takes numbers only, got None"),
+    (OptimizerConfig("adam"), {"beta2": "0.999"}, ContractError,
+     "beta2 takes numbers only, got '0.999'"),
+    (OptimizerConfig("adam"), {"epsilon": False}, ContractError,
+     "epsilon takes numbers only, got False"),
+    # beta1 = 1 divides by zero in Adam's bias correction
+    *((OptimizerConfig(kind), {key: value}, ContractError,
+       "beta1, beta2, rms_decay and rho must be in [0, 1)") for kind, key, value in (
+        ("adam", "beta1", 1.0), ("nadam", "beta2", -0.1), ("rmsprop", "rms_decay", 1.5),
+        ("adadelta", "rho", NAN))),
+    (OptimizerConfig("adam"), {"epsilon": 0.0}, ContractError, "epsilon must be positive"),
+    (OptimizerConfig("adagrad"), {"epsilon": NAN}, ContractError, "epsilon must be positive"),
 ]
 
 
@@ -92,3 +109,17 @@ NOT_A_NUMBER_OR_COUNT = [
                               for c in NOT_A_NUMBER_OR_COUNT for k, v in c[1].items()])
 def test_nan_or_non_integer_count_cannot_be_built(valid, change, error, message, how):
     test_invalid_instance_cannot_be_built(valid, change, error, message, how)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: HalvingPolicy(start_round=2.0), "start_round takes integers only, got 2.0"),
+    (lambda: HalvingPolicy(start_round=True), "start_round takes integers only, got True"),
+    (lambda: BaselineGatePolicy(reference_loss="0.5"),
+     "reference_loss takes numbers only, got '0.5'"),
+    (lambda: BaselineGatePolicy(reference_loss=0.5, margin=True),
+     "margin takes numbers only, got True"),
+    (lambda: BaselineGatePolicy(reference_loss=0.5, margin=NAN), "margin must be non-negative"),
+], ids=["start_round-2.0", "start_round-True", "reference_loss-str", "margin-True", "margin-nan"])
+def test_invalid_policy_cannot_be_built(build, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        build()
