@@ -1,10 +1,12 @@
 """Losses, stop rule, and the single-instance trainer."""
 
+import hashlib
 import json
 import math
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import rlab.training
 from rlab.calo import GeneratorConfig, generate_dataset
 from rlab.errors import ContractError
-from rlab.nn import Model, ModelSpec
+from rlab.nn import Model, ModelSpec, preset_spec
 from rlab.optim import OptimizerConfig
 from rlab.seeding import substream
 from rlab.tensor import Tensor
@@ -468,3 +470,56 @@ class TestBlasThreads:
         got = train_instance(tiny_spec(), *small_sets, init_seed=9,
                              stop=TestTrainInstance.STOP)
         assert got.loss_trace == expected.loss_trace
+
+
+@pytest.fixture(scope="module")
+def pin_sets():
+    cfg = GeneratorConfig()
+    return generate_dataset(cfg, 200, seed=303), generate_dataset(cfg, 100, seed=404)
+
+
+def _trace_digest(spec, pin_sets, init_seed=7):
+    train, test = pin_sets
+    stop = EarlyStopConfig(min_epochs=2, window=1, hard_cap=2)
+    inst = train_instance(spec, train, test, init_seed, stop)
+    assert len(inst.loss_trace) == 2 and not inst.diverged
+    return hashlib.sha256(np.array(inst.loss_trace).tobytes()).hexdigest()
+
+
+class TestTrainingBitsPinned:
+    """sha256 of real trainings' loss traces, recorded before the activation,
+    pooling and gradient-buffer kernels were made branch-free: they pin the
+    bits of every forward, backward and optimizer step on the way."""
+
+    @pytest.mark.parametrize("preset, expected", [
+        ("model1",
+         "cb89bd7a57425b8dae73466999661aa1ea8a7de92f703d78e3f7c40ca79ed29c"),
+        ("model2",
+         "707d1cfca966841f06166c4e7eff6b03a91230f8aa2c1e2e5172f68e6103578d"),
+        ("model3",
+         "bf8c31221b0215c43f8534ed6354ca789e66e5ecea5c5c407c00ea22efe2c0c2"),
+        ("model4",
+         "8176e575879edcc2479834be03c704453d549756df6ec94627002aa5179ada07"),
+    ])
+    def test_presets(self, pin_sets, preset, expected):
+        assert _trace_digest(preset_spec(preset), pin_sets) == expected
+
+    @pytest.mark.parametrize("activation, expected", [
+        ("sigmoid",
+         "df8e3be50cb39b3a87e0c1587ee539a7afb488d152ba06fc3d59111a46035eec"),
+        ("tanh",
+         "8e49d3cf47adee6e84e62ae7fb86e8d28f49a94259755c450ca51975b975ba4f"),
+        ("relu",
+         "707d1cfca966841f06166c4e7eff6b03a91230f8aa2c1e2e5172f68e6103578d"),
+        ("leaky_relu",
+         "bb8e1a4479f917b7925ce6e2a1af1dd2e4f7b32dda5b38fe2e7bf0fbae8abc5b"),
+        ("prelu",
+         "a59cd7c793a19a582b36de9b0e93f730f1c85011f2112e62147c8da2705703e0"),
+        ("elu",
+         "4d9499fad13c7a1dcd4fb97dead2fce788669affd5fbeb981636d8ee7b5a7274"),
+        ("gelu",
+         "022bb07f2aa1b9f57f388ebdd517ffaacb4a19b124c3065e3b853df004607443"),
+    ])
+    def test_model2_activations(self, pin_sets, activation, expected):
+        spec = replace(preset_spec("model2"), activation=activation)
+        assert _trace_digest(spec, pin_sets) == expected
