@@ -18,11 +18,11 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .errors import ContractError, DatasetFormatError, DegenerateFitError
+from .errors import ContractError, DatasetFormatError, DegenerateFitError, require_reals
 from .seeding import substream
 
 GRID = 15
@@ -54,6 +54,8 @@ class GeneratorConfig:
         object.__setattr__(self, "energy_range", tuple(self.energy_range))
         if self.dataset_kind not in ("A", "B"):
             raise ContractError(f"dataset_kind must be 'A' or 'B', got {self.dataset_kind!r}")
+        # every field after dataset_kind is a number or a pair of them
+        require_reals(**{f.name: getattr(self, f.name) for f in fields(self)[1:]})
         lo, hi = self.energy_range
         if not 0.0 < lo < hi:
             raise ContractError(f"energy_range must satisfy 0 < lo < hi, got {self.energy_range}")

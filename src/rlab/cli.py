@@ -27,7 +27,7 @@ from .calo import bootstrap_sample  # noqa: F401
 from .calo import (GeneratorConfig, generate_dataset, load_dataset, sample_size_schedule,
                    save_dataset)
 from .errors import (ConfigError, ContractError, DatasetFormatError, WorkerLostError,
-                     require_counts, require_reals)
+                     require_counts, require_reals, require_strings)
 from .nn import (ModelSpec, SearchSpace, TARGETS, enumerate_search_space,
                  preset_spec, reference_search_space)
 from .robustness import (
@@ -102,6 +102,11 @@ def _kind_block(table: dict, d, name: str, *args, default: str | None = None):
     return _block(table[kind], d, name, *args)
 
 
+def _datasets(train_data: str, test_data: str):
+    require_strings(train_data=train_data, test_data=test_data)
+    return load_dataset(train_data), load_dataset(test_data)
+
+
 def _spec_from(preset: str | None, spec: dict | None) -> ModelSpec:
     if (preset is None) == (spec is None):
         raise ConfigError("need exactly one of a 'spec' block and a 'preset' name")
@@ -170,7 +175,7 @@ def cmd_train(out_dir: str, workers: int, *, train_data: str, test_data: str, in
     require_counts(init_seed=init_seed)
     spec = _spec_from(preset, spec)
     stop = _block(EarlyStopConfig, stop, "stop")
-    train_set, test_set = load_dataset(train_data), load_dataset(test_data)
+    train_set, test_set = _datasets(train_data, test_data)
     inst = train_instance(spec, train_set, test_set, init_seed, stop=stop)
     _write_json(os.path.join(out_dir, "instance.json"), inst.to_record())
     _write_csv(
@@ -189,7 +194,7 @@ def cmd_robustness(out_dir: str, workers: int, *, train_data: str, test_data: st
                    sample_size: int | None = None, stop: dict = {}) -> int:
     spec = _spec_from(preset, spec)
     stop = _block(EarlyStopConfig, stop, "stop")
-    pool, test_set = load_dataset(train_data), load_dataset(test_data)
+    pool, test_set = _datasets(train_data, test_data)
     record = run_instances(spec, k=k, pool=pool, test_set=test_set, mode=mode,
                            base_seed=base_seed, sample_size=sample_size, stop=stop,
                            workers=workers)
@@ -297,7 +302,7 @@ def _instances_trainer(workers: int, *, train_data: str, test_data: str,
                        sample_size: int | None = None, stop: dict = {}):
     """Hands each training to a worker process; its calls are threads that wait."""
     stop = _block(EarlyStopConfig, stop, "stop")
-    pool, test_set = load_dataset(train_data), load_dataset(test_data)
+    pool, test_set = _datasets(train_data, test_data)
     size = len(pool) if sample_size is None else sample_size
     require_counts(sample_size=size)
 
@@ -357,7 +362,9 @@ def cmd_sweep(out_dir: str, workers: int, *, train_data: str, test_data: str, k:
     if indices is not None:
         require_counts(indices=tuple(indices))
         sizes = [sample_size_schedule(i) for i in indices]
-    train_pool, test_pool = load_dataset(train_data), load_dataset(test_data)
+    if not sizes:
+        raise ConfigError(f"'{'indices' if indices is not None else 'sizes'}' lists no sample size")
+    train_pool, test_pool = _datasets(train_data, test_data)
     rows = sample_size_sweep(spec, sizes=sizes, k=k, train_pool=train_pool,
                              test_pool=test_pool, base_seed=base_seed, stop=stop,
                              workers=workers)
@@ -371,15 +378,16 @@ def cmd_sweep(out_dir: str, workers: int, *, train_data: str, test_data: str, k:
         [{"n": row["n"], "losses": row["losses"]} for row in rows],
     )
     print(f"{spec.name}: swept {len(rows)} sample sizes")
-    return EXIT_DIVERGED if rows and all(math.isinf(r["box"]["min"]) for r in rows) else EXIT_OK
+    return EXIT_DIVERGED if all(math.isinf(r["box"]["min"]) for r in rows) else EXIT_OK
 
 
 def cmd_report(out_dir: str, workers: int, *, records: str,
                criteria: list = [{"kind": k} for k in ("mean", "median", "min", "max", "std")],
                ) -> int:
+    require_strings(records=records)
     criteria = [_block(SelectionCriterion, d, "criterion") for d in criteria]
     rows = []       # (spec_id, losses, summary statistics); all are checked before any output
-    with open(os.fspath(records)) as fh:
+    with open(records) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue

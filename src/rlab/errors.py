@@ -62,3 +62,8 @@ def require_counts(**values) -> None:
 def require_reals(**values) -> None:
     """The same for numbers: an int or a float, not a bool or a numeric string."""
     _require_types({int, float}, "numbers", values)
+
+
+def require_strings(**values) -> None:
+    """The same for names and paths: a str, not a number or a list."""
+    _require_types({str}, "strings", values)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CatalogueError, ContractError, ShapeError, require_counts
+from .errors import CatalogueError, ContractError, ShapeError, require_counts, require_strings
 from .optim import OptimizerConfig
 from .seeding import substream
 from .tensor import Tensor, concat, conv2d, linear, maxpool2d
@@ -52,13 +52,50 @@ def _erf(x):
     return erf(x)
 
 
-# kind -> (value(x), gradient(g, x, y)) on raw arrays, y the value at x
+# The rectifiers take no data-dependent branch, where np.where mispredicts
+# one per element on a mixed sign pattern, and give the bits of its forms.
+# A NaN input falls on their x <= 0 side; fmax returns its other operand.
+
+
+def _relu(x):
+    y = np.fmax(x, 0.0)
+    return np.add(y, 0.0, out=y)        # 0.0 for -0.0, whichever zero fmax kept
+
+
+def _unit_slopes(a) -> bool:
+    # 0 < a <= 1, which NaN fails: then a * x lies between x and 0, so the
+    # rectifier is a max, and so is its slope factor
+    return bool(0.0 < np.min(a) and np.max(a) <= 1.0)
+
+
+def _leaky(x, a, unit):
+    """np.where(x > 0.0, x, a * x); unit is _unit_slopes(a)."""
+    y = np.multiply(a, x)
+    if unit:
+        return np.fmax(x, y, out=y)     # x and a * x tie only as zeros of one sign
+    return np.where(x > 0.0, x, y)
+
+
+def _leaky_gradient(g, x, a, unit, buf=None):
+    """g * np.where(x > 0.0, 1.0, a), written into buf if given and unit."""
+    if unit:
+        factor = np.sign(x, out=buf)    # 1, -1, a signed zero, or NaN
+        np.fmax(factor, a, out=factor)
+    else:
+        factor = np.where(x > 0.0, 1.0, a)
+    return np.multiply(g, factor, out=factor)
+
+
+_LEAKY_UNIT = _unit_slopes(LEAKY_SLOPE)
+
+# kind -> (value(x), gradient(g, x, y)) on raw arrays, y the value at x; a
+# gradient is a new array
 _ELEMENTWISE = {
     "sigmoid": (_expit, lambda g, x, y: g * y * (1.0 - y)),
     "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
-    "relu": (lambda x: np.where(x > 0.0, x, 0.0), lambda g, x, y: g * (x > 0.0)),
-    "leaky_relu": (lambda x: np.where(x > 0.0, x, LEAKY_SLOPE * x),
-                   lambda g, x, y: g * np.where(x > 0.0, 1.0, LEAKY_SLOPE)),
+    "relu": (_relu, lambda g, x, y: g * (x > 0.0)),
+    "leaky_relu": (lambda x: _leaky(x, LEAKY_SLOPE, _LEAKY_UNIT),
+                   lambda g, x, y: _leaky_gradient(g, x, LEAKY_SLOPE, _LEAKY_UNIT)),
     "elu": (lambda x: np.where(x > 0.0, x, np.expm1(x)),
             lambda g, x, y: g * np.where(x > 0.0, 1.0, y + 1.0)),
     # exact form: x * Phi(x), not the tanh fit
@@ -76,7 +113,7 @@ def _elementwise(kind: str):
         y = value(x.data)
 
         def vjp(g, x=x, y=y):
-            x._accum(gradient(g, x.data, y))
+            x._accum(gradient(g, x.data, y), owned=True)
         return Tensor._result(y, (x,), kind, vjp)
 
     activation.__name__ = activation.__qualname__ = kind    # pickles by its module name
@@ -100,16 +137,21 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
         raise ShapeError("slopes must be a vector")
     bshape = _slope_broadcast(x.data.shape, slopes.data.size)
     a = slopes.data.reshape(bshape)
-    pos = x.data > 0.0
-    out = np.where(pos, x.data, a * x.data)
+    unit = _unit_slopes(a)
+    out = _leaky(x.data, a, unit)
 
-    def vjp(g, x=x, slopes=slopes, pos=pos, a=a, bshape=bshape):
-        if x.requires_grad:
-            x._accum(g * np.where(pos, 1.0, a))
+    def vjp(g, x=x, slopes=slopes, a=a, unit=unit, bshape=bshape):
+        xd, buf = x.data, None
         if slopes.requires_grad:
-            contrib = g * np.where(pos, 0.0, x.data)
+            # np.minimum(x, 0.0) is np.where(x > 0.0, 0.0, x) up to the sign
+            # of a zero, which reaches only the sign of a zero total: a sign
+            # that _accum drops
+            buf = np.minimum(xd, 0.0)
             axes = tuple(i for i, b in enumerate(bshape) if b == 1)
-            slopes._accum(contrib.sum(axis=axes).reshape(slopes.data.shape))
+            total = np.multiply(g, buf, out=buf).sum(axis=axes)
+            slopes._accum(total.reshape(slopes.data.shape))
+        if x.requires_grad:
+            x._accum(_leaky_gradient(g, xd, a, unit, buf), owned=True)
     return Tensor._result(out, (x, slopes), "prelu", vjp)
 
 
@@ -169,6 +211,7 @@ class ModelSpec:
         require_counts(conv_layers=self.conv_layers, pool_layers=self.pool_layers,
                        fc_layers=self.fc_layers, aux_injection_layer=self.aux_injection_layer,
                        batch_size=self.batch_size)
+        require_strings(name=self.name)
         if self.activation not in ACTIVATIONS:
             raise CatalogueError(f"unknown activation {self.activation!r}")
         if self.target not in TARGETS:

@@ -95,6 +95,8 @@ class SelectionCriterion:
     def __post_init__(self):
         if self.kind not in _REDUCERS:
             raise ContractError(f"unknown statistic {self.kind!r}")
+        if self.quantile is not None:
+            require_reals(quantile=self.quantile)
         if self.kind == "quantile":
             if self.quantile is None or not 0.0 < self.quantile < 1.0:
                 raise ContractError("quantile criterion needs p strictly inside (0, 1)")

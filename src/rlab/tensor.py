@@ -70,12 +70,23 @@ class Tensor:
             out._vjp = vjp
         return out
 
-    def _accum(self, g: Array) -> None:
+    def _accum(self, g: Array, owned: bool = False) -> None:
+        """Add g to .grad.  The first g gives zeros + g, which has the bits
+        of g + 0.0 (-0.0 becomes 0.0), in the data's layout.  An owned g, one
+        the caller built and drops, becomes .grad in place when its layout
+        is the data's: no new buffer, no zero fill.
+
+        So .grad never holds -0.0, and a g that differs from another only in
+        the sign of a zero gives .grad the same bits."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            if owned and g.shape == self.data.shape and g.strides == self.data.strides:
+                self.grad = np.add(g, 0.0, out=g)
+            else:
+                self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     # -- introspection --------------------------------------------------------
 
@@ -300,7 +311,7 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
             for di in range(kh):
                 for dj in range(kw):
                     dx[:, di:di + ho, dj:dj + wo] += dcols[:, :, :, di, dj]
-            x._accum(dx.transpose(0, 3, 1, 2))
+            x._accum(dx.transpose(0, 3, 1, 2), owned=True)
 
     return Tensor._result(out, (x, kernels), "conv2d", vjp)
 
@@ -360,8 +371,15 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         # later offsets first: np.add.at's order where windows overlap
         for k in reversed(range(len(dviews))):
             hit = arg == k
-            dviews[k] += g * hit if finite else np.where(hit, g, 0.0)
-        x._accum(dx)
+            if stride < window:
+                dviews[k] += g * hit if finite else np.where(hit, g, 0.0)
+            # disjoint windows: a cell's one term is written, not added to
+            # 0.0, which would change only a -0.0, and _accum drops that
+            elif finite:
+                np.multiply(g, hit, out=dviews[k])
+            else:
+                dviews[k][...] = np.where(hit, g, 0.0)
+        x._accum(dx, owned=True)
 
     return Tensor._result(out, (x,), "maxpool2d", vjp)
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .calo import Dataset, cluster_barycenter, cluster_energy_sum
-from .errors import ContractError, DivergenceError, require_counts
+from .errors import ContractError, DivergenceError, require_counts, require_reals
 from .nn import Model, ModelSpec
 from .optim import make_optimizer
 from .seeding import substream
@@ -83,6 +83,7 @@ class EarlyStopConfig:
 
     def __post_init__(self):
         require_counts(min_epochs=self.min_epochs, window=self.window, hard_cap=self.hard_cap)
+        require_reals(threshold=self.threshold)
         if not self.window >= 1:
             raise ContractError("window must be >= 1")
         if not self.min_epochs >= 1:

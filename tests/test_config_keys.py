@@ -248,7 +248,30 @@ BAD_CONFIGS = [
     ("sizes-and-indices", dict(CONFIGS["c13-sweep"], indices=[0]),
      "need exactly one of a 'sizes' list and an 'indices' list"),
     ("train_data-true", dict(ROBUSTNESS, train_data=True),
-     "expected str, bytes or os.PathLike object, not bool"),
+     "train_data takes strings only, got True"),
+    ("test_data-7", dict(ROBUSTNESS, test_data=7), "test_data takes strings only, got 7"),
+    ("instances-test_data-7", dict(SELECT, trainer={
+        "kind": "instances", "train_data": "train.rlab", "test_data": 7}),
+     "test_data takes strings only, got 7"),
+    ("records-7", {"command": "report", "records": 7}, "records takes strings only, got 7"),
+    ("spec-name-inf", dict(ROBUSTNESS, spec=dict(tiny_spec("det"), name=math.inf)),
+     "name takes strings only, got inf"),
+    ("sizes-empty", dict(CONFIGS["c13-sweep"], sizes=[]), "'sizes' lists no sample size"),
+    ("indices-empty", dict(without(CONFIGS["c13-sweep"], "sizes"), indices=[]),
+     "'indices' lists no sample size"),
+    ("threshold-true", dict(ROBUSTNESS, stop=dict(ONE_EPOCH, threshold=True)),
+     "threshold takes numbers only, got True"),
+    ("quantile-str", {"command": "report", "records": "records.jsonl",
+                      "criteria": [{"kind": "quantile", "quantile": "0.5"}]},
+     "quantile takes numbers only, got '0.5'"),
+    ("energy_range-str", {"command": "gen-data", "n": 4, "seed": 1,
+                          "generator": {"energy_range": [1.0, "100"]}},
+     "energy_range takes numbers only, got (1.0, '100')"),
+    ("energy_range-true", {"command": "gen-data", "n": 4, "seed": 1,
+                           "generator": {"energy_range": [True, 5]}},
+     "energy_range takes numbers only, got (True, 5)"),
+    ("noise_b-true", {"command": "gen-data", "n": 4, "seed": 1, "generator": {"noise_b": True}},
+     "noise_b takes numbers only, got True"),
 ]
 
 

@@ -9,6 +9,7 @@ import pickle
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rlab.nn
 from rlab.errors import CatalogueError, ContractError, ShapeError
@@ -94,6 +95,99 @@ class TestActivationGradients:
     def test_prelu_slope_count_mismatch(self):
         with pytest.raises(ShapeError):
             prelu(Tensor(np.zeros((2, 3, 4, 4))), Tensor(np.zeros(5)))
+
+
+def bits(a):
+    """The raw bytes of a: equal bits, not just equal values (-0.0, NaN)."""
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+def rectifier_reference(x, a, g):
+    """(value, input gradient, slope gradient) of the np.where forms that the
+    branch-free rectifiers replaced; a first gradient is zeros + g."""
+    pos = x > 0.0
+    value = np.where(pos, x, a * x)
+    dx = 0.0 + g * np.where(pos, 1.0, a)
+    axes = (0,) + tuple(range(2, x.ndim))
+    ds = 0.0 + (g * np.where(pos, 0.0, x)).sum(axis=axes)
+    return value, dx, ds
+
+
+# signed zeros, subnormals, non-finite values and ties with the slope factor's 1.0
+_EDGE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                                   np.inf, -np.inf, np.nan, -np.nan]),
+                  st.floats(-4.0, 4.0))
+_SLOPES = st.one_of(st.sampled_from([0.25, 0.01, 1.0, 0.0, -0.0, -0.5, 1.5, 5e-324,
+                                     1.0 + 2.0 ** -52, np.inf, np.nan]),
+                    st.floats(-2.0, 2.0))
+_GRADS = st.sampled_from([1.0, -0.5, 0.0, -0.0, 3.0, 1e-300, -5e-324, np.inf, np.nan])
+
+
+@st.composite
+def rectifier_cases(draw):
+    """(x, slopes, g): [N,C] vectors or [N,C,H,W] maps, the maps in either layout."""
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    shape = (n, c) + draw(st.sampled_from([(), (1, 1), (3, 2), (5, 5)]))
+    x = draw(arrays(np.float64, shape, elements=_EDGE))
+    g = draw(arrays(np.float64, shape, elements=_GRADS))
+    if len(shape) == 4 and draw(st.booleans()):     # channels-last, as conv2d writes maps
+        x, g = (np.ascontiguousarray(v.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+                for v in (x, g))
+    return x, draw(arrays(np.float64, (c,), elements=_SLOPES)), g
+
+
+def run_vjp(fn, x, g, *params):
+    """(value, input gradient, parameter gradients) of fn at x for output gradient g;
+    g reaches the op unchanged, signed zeros included."""
+    t = Tensor(x, requires_grad=True)
+    ps = [Tensor(p, requires_grad=True) for p in params]
+    out = fn(t, *ps)
+    out._vjp(g)
+    return (out.data, t.grad, *(p.grad for p in ps))
+
+
+class TestRectifierOracle:
+    """relu, leaky_relu and prelu take no data-dependent branch; each gives
+    the bits of the np.where forms it replaced, wherever its exact path or
+    its fallback runs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=rectifier_cases())
+    def test_prelu(self, case):
+        x, a, g = case
+        with np.errstate(all="ignore"):
+            want = rectifier_reference(x, a.reshape((1, -1) + (1,) * (x.ndim - 2)), g)
+            got = run_vjp(prelu, x, g, a)
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=rectifier_cases())
+    def test_leaky_relu(self, case):
+        x, _, g = case
+        with np.errstate(all="ignore"):
+            value, dx, _ = rectifier_reference(x, rlab.nn.LEAKY_SLOPE, g)
+            got = run_vjp(leaky_relu, x, g)
+        assert [bits(v) for v in got] == [bits(value), bits(dx)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=rectifier_cases())
+    def test_relu(self, case):
+        x, _, g = case
+        with np.errstate(all="ignore"):
+            want = (np.where(x > 0.0, x, 0.0), 0.0 + g * (x > 0.0))
+            got = run_vjp(relu, x, g)
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 1000])
+    def test_relu_of_negative_zero_is_zero_at_every_length(self, n):
+        # fmax keeps -0.0 against 0.0 on some lengths and drops it on others
+        assert bits(relu(Tensor(np.full(n, -0.0))).data) == bits(np.zeros(n))
+
+    def test_prelu_slope_gradient_at_positive_infinity(self):
+        # x = +inf is on the slope's zero side: its term is g * 0.0, not g * inf * 0
+        x = np.array([[np.inf, -2.0], [3.0, -np.inf]])
+        _, _, ds = run_vjp(prelu, x, np.ones((2, 2)), np.array([0.25, 0.5]))
+        assert bits(ds) == bits(np.array([0.0, -np.inf]))
 
 
 class TestHeInit:

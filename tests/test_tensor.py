@@ -176,6 +176,27 @@ class TestMaxPoolOracle:
         assert np.argsort(t.grad.strides).tolist() == np.argsort(x.strides).tolist()
 
 
+class TestDisjointPoolGradient:
+    """Where stride >= window no cell takes two terms, and the backward
+    writes each window's term once, in place of the zero fill plus one
+    masked sum per window offset: the same bits for any g, signed zeros and
+    non-finite values included, and when x already holds a gradient."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=pool_cases().filter(lambda case: case[2] >= case[1]))
+    def test_bitwise_equal_to_argmax_reference(self, case):
+        x, window, stride, g = case
+        t = Tensor(x, requires_grad=True)
+        out = maxpool2d(t, window, stride)
+        with np.errstate(invalid="ignore"):
+            _, want = maxpool_reference(x, window, stride, g)
+            out._vjp(g)         # g reaches the op as drawn, -0.0 included
+            first = t.grad.copy()
+            out._vjp(g)
+        assert bits(first) == bits(want)
+        assert bits(t.grad) == bits(want + want)
+
+
 def conv_input_grad_reference(g, kern):
     """The full correlation of the zero-padded output gradient with the
     flipped kernels that conv2d's col2im input gradient replaced."""
@@ -245,6 +266,18 @@ class TestBackward:
         z = y.sum()
         order = trace(z)
         assert order.index(x) < order.index(y) < order.index(z)
+
+    @pytest.mark.parametrize("owned", [False, True])
+    @pytest.mark.parametrize("g_layout", [(0, 1, 2, 3), (0, 2, 3, 1)])
+    def test_first_gradient_is_zeros_plus_g_in_the_data_layout(self, owned, g_layout):
+        data = np.zeros((2, 4, 3, 2)).transpose(0, 3, 1, 2)      # channels-last [2,2,4,3]
+        g = np.random.default_rng(3).normal(size=data.shape)
+        g[0, 0] = -0.0
+        g = np.ascontiguousarray(g.transpose(g_layout)).transpose(np.argsort(g_layout))
+        t = Tensor(data, requires_grad=True)
+        t._accum(g.copy(), owned=owned)
+        assert bits(t.grad) == bits(np.zeros_like(data) + g)
+        assert t.grad.strides == data.strides
 
     def test_grad_accumulates_across_paths(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
