@@ -136,7 +136,10 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     if slopes.data.ndim != 1:
         raise ShapeError("slopes must be a vector")
     bshape = _slope_broadcast(x.data.shape, slopes.data.size)
-    a = slopes.data.reshape(bshape)
+    # the slopes spread over one sample in x's layout: an op of a and x then
+    # runs one long inner loop per sample, not one per run of channels
+    a = np.empty_like(x.data[:1])
+    a[...] = slopes.data.reshape(bshape)
     unit = _unit_slopes(a)
     out = _leaky(x.data, a, unit)
 
