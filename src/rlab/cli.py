@@ -27,7 +27,7 @@ from .calo import bootstrap_sample  # noqa: F401
 from .calo import (GeneratorConfig, generate_dataset, load_dataset, sample_size_schedule,
                    save_dataset)
 from .errors import (ConfigError, ContractError, DatasetFormatError, WorkerLostError,
-                     require_counts, require_reals, require_strings)
+                     require_counts, require_reals, require_seeds, require_strings)
 from .nn import (ModelSpec, SearchSpace, TARGETS, enumerate_search_space,
                  preset_spec, reference_search_space)
 from .robustness import (
@@ -159,7 +159,8 @@ def _box_row(box: dict) -> list:
 # are the key table.  A block's {} default is only ever unpacked, never changed.
 def cmd_gen_data(out_dir: str, workers: int, *, n: int, seed: int, generator: dict = {},
                  filename: str = "events.rlab") -> int:
-    require_counts(n=n, seed=seed)
+    require_counts(n=n)
+    require_seeds(seed=seed)
     gen = _block(GeneratorConfig, generator, "generator")
     dataset = generate_dataset(gen, n, seed)
     path = os.path.join(out_dir, filename)
@@ -172,7 +173,7 @@ def cmd_gen_data(out_dir: str, workers: int, *, n: int, seed: int, generator: di
 
 def cmd_train(out_dir: str, workers: int, *, train_data: str, test_data: str, init_seed: int,
               preset: str | None = None, spec: dict | None = None, stop: dict = {}) -> int:
-    require_counts(init_seed=init_seed)
+    require_seeds(init_seed=init_seed)
     spec = _spec_from(preset, spec)
     stop = _block(EarlyStopConfig, stop, "stop")
     train_set, test_set = _datasets(train_data, test_data)

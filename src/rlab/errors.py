@@ -59,6 +59,14 @@ def require_counts(**values) -> None:
     _require_types({int}, "integers", values)
 
 
+def require_seeds(**values) -> None:
+    """require_counts, and each value at least 0: a seed's words are unsigned."""
+    require_counts(**values)
+    for name, value in values.items():
+        if value < 0:
+            raise ContractError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def require_reals(**values) -> None:
     """The same for numbers: an int or a float, not a bool or a numeric string."""
     _require_types({int, float}, "numbers", values)

@@ -223,15 +223,23 @@ class ModelSpec:
             raise CatalogueError(f"unknown aux feature {self.aux!r}")
         if self.seed_policy != "substreams":
             raise CatalogueError(f"unknown seed policy {self.seed_policy!r}")
-        if len(self.pool_layers) != len(self.conv_layers):
-            raise ContractError("need one pool stage per conv layer")
-        if not self.fc_layers or self.fc_layers[-1] != 1:
-            raise ContractError("fc stack must end in a single output unit")
-        if not 0 <= self.aux_injection_layer < len(self.fc_layers):
-            raise ContractError("aux_injection_layer out of range")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
-        feature_shapes(self)   # raises if the stack eats the grid
+        # every field but name, optimizer and batch_size; the checks above
+        # leave only ints and str in it, so equal keys are equal values
+        key = (self.conv_layers, self.pool_layers, self.fc_layers, self.aux_injection_layer,
+               self.activation, self.target, self.aux, self.seed_policy)
+        fragments = _ARCHITECTURES.get(key)
+        if fragments is None:
+            if len(self.pool_layers) != len(self.conv_layers):
+                raise ContractError("need one pool stage per conv layer")
+            if not self.fc_layers or self.fc_layers[-1] != 1:
+                raise ContractError("fc stack must end in a single output unit")
+            if not 0 <= self.aux_injection_layer < len(self.fc_layers):
+                raise ContractError("aux_injection_layer out of range")
+            feature_shapes(self)   # raises if the stack eats the grid
+            fragments = _ARCHITECTURES[key] = _json_fragments(self.to_dict())
+        object.__setattr__(self, "_fragments", fragments)
 
     @property
     def aux_width(self) -> int:
@@ -261,16 +269,40 @@ class ModelSpec:
     def spec_id(self) -> str:
         """sha1 of the sorted-key JSON of to_dict(), first 10 hex digits.
 
-        Computed once per instance and kept in its __dict__: the fields are
-        frozen, and dataclasses.replace builds a new instance through
-        __init__, so a derived spec never inherits its source's id.
+        The JSON is the architecture's fragments around the encoded
+        batch size, name and optimizer.  The id is computed once per
+        instance and kept in its __dict__: the fields are frozen, and
+        dataclasses.replace builds a new instance through __init__, so a
+        derived spec never inherits its source's id.
         """
         sid = self.__dict__.get("_spec_id")
         if sid is None:
-            blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+            head, after_batch, after_name, tail = self._fragments
+            blob = (f"{head}{self.batch_size}{after_batch}{json.dumps(self.name)}"
+                    f"{after_name}{self.optimizer.to_json()}{tail}").encode()
             sid = hashlib.sha1(blob).hexdigest()[:10]
             object.__setattr__(self, "_spec_id", sid)
         return sid
+
+
+# the to_dict() keys whose values vary within one architecture, in sorted order
+_PER_SPEC = ("batch_size", "name", "optimizer")
+
+# checked architecture key (see ModelSpec.__post_init__) -> its JSON fragments
+_ARCHITECTURES: dict[tuple, tuple[str, ...]] = {}
+
+
+def _json_fragments(d: dict) -> tuple[str, ...]:
+    """json.dumps(d, sort_keys=True) cut around the values of _PER_SPEC."""
+    fragments, text = [], "{"
+    for i, key in enumerate(sorted(d)):
+        text += f"{', ' if i else ''}{json.dumps(key)}: "
+        if key in _PER_SPEC:
+            fragments.append(text)
+            text = ""
+        else:
+            text += json.dumps(d[key], sort_keys=True)
+    return (*fragments, text + "}")
 
 
 def feature_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:

@@ -8,6 +8,7 @@ only meaningful for AdamW.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -57,6 +58,15 @@ class OptimizerConfig:
         # without its recursive deep copy of values that are all scalars
         return {name: getattr(self, name) for name in _CONFIG_FIELDS}
 
+    def to_json(self) -> str:
+        """json.dumps(to_dict(), sort_keys=True), computed once per instance.
+        Not per equal config: 0.0 == -0.0, but their JSON differs."""
+        text = self.__dict__.get("_json")
+        if text is None:
+            text = json.dumps(self.to_dict(), sort_keys=True)
+            object.__setattr__(self, "_json", text)
+        return text
+
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(OptimizerConfig))
 
@@ -102,13 +112,35 @@ class Adam(Optimizer):
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def _adaptive_delta(self, i, g):
+    # The moments are updated in place, and each expression's operations run
+    # in the order of its plain form (noted beside it), so the bits are its bits.
+
+    def _moments(self, i, g):
+        """The updated moments m, v of parameter i."""
+        c, m, v = self.cfg, self.m[i], self.v[i]
+        m *= c.beta1                # m = beta1 * m + (1 - beta1) * g
+        m += (1.0 - c.beta1) * g
+        v *= c.beta2                # v = beta2 * v + (1 - beta2) * g * g
+        gg = (1.0 - c.beta2) * g
+        gg *= g
+        v += gg
+        return m, v
+
+    def _denominator(self, v):
+        """np.sqrt(v_hat) + epsilon, v_hat = v / (1 - beta2 ** t), in a new array."""
         c = self.cfg
-        self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g
-        self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g
-        m_hat = self.m[i] / (1.0 - c.beta1 ** self.t)
-        v_hat = self.v[i] / (1.0 - c.beta2 ** self.t)
-        return -c.learning_rate * m_hat / (np.sqrt(v_hat) + c.epsilon)
+        d = v / (1.0 - c.beta2 ** self.t)
+        np.sqrt(d, out=d)
+        d += c.epsilon
+        return d
+
+    def _adaptive_delta(self, i, g):
+        m, v = self._moments(i, g)
+        # -lr * m_hat / (np.sqrt(v_hat) + epsilon), m_hat = m / (1 - beta1 ** t)
+        delta = m / (1.0 - self.cfg.beta1 ** self.t)
+        delta *= -self.cfg.learning_rate
+        delta /= self._denominator(v)
+        return delta
 
     def _update(self, i, p, g):
         p.data += self._adaptive_delta(i, g)
@@ -165,12 +197,16 @@ class NAdam(Adam):
 
     def _update(self, i, p, g):
         c = self.cfg
-        self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g
-        self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g
-        m_bar = (c.beta1 * self.m[i] / (1.0 - c.beta1 ** (self.t + 1))
-                 + (1.0 - c.beta1) * g / (1.0 - c.beta1 ** self.t))
-        v_hat = self.v[i] / (1.0 - c.beta2 ** self.t)
-        p.data -= c.learning_rate * m_bar / (np.sqrt(v_hat) + c.epsilon)
+        m, v = self._moments(i, g)
+        # m_bar = beta1 * m / (1 - beta1 ** (t + 1)) + (1 - beta1) * g / (1 - beta1 ** t)
+        m_bar = c.beta1 * m
+        m_bar /= 1.0 - c.beta1 ** (self.t + 1)
+        fresh = (1.0 - c.beta1) * g
+        fresh /= 1.0 - c.beta1 ** self.t
+        m_bar += fresh
+        m_bar *= c.learning_rate    # lr * m_bar / (np.sqrt(v_hat) + epsilon)
+        m_bar /= self._denominator(v)
+        p.data -= m_bar
 
 
 _REGISTRY = {

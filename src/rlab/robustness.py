@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calo import Dataset, bootstrap_sample, subsample
-from .errors import ContractError, WorkerLostError, require_counts, require_reals
+from .errors import ContractError, WorkerLostError, require_counts, require_reals, require_seeds
 from .nn import ModelSpec
 from .seeding import substream_seed
 from .training import EarlyStopConfig, TrainedInstance, train_instance
@@ -248,7 +248,8 @@ def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
     are independent; worker count changes wall time only, never the record.
     """
     size = len(pool) if sample_size is None else sample_size
-    require_counts(k=k, sample_size=size, base_seed=base_seed)
+    require_counts(k=k, sample_size=size)
+    require_seeds(base_seed=base_seed)
     if k < 1:
         raise ContractError(f"need at least one instance, got k={k}")
     if mode not in RANDOMIZATION_MODES:
@@ -347,7 +348,10 @@ class SelectionLedger:
     tie: bool = False
 
     def to_record(self) -> dict:
-        return asdict(self)
+        # built directly: asdict deep-copies a large grid's counts key by key
+        return {**vars(self), "rounds": [dict(vars(entry)) for entry in self.rounds],
+                "instance_counts": dict(self.instance_counts),
+                "survivor_ids": list(self.survivor_ids)}
 
 
 def _round_losses(trainer: TrainerFn, calls: list[tuple], workers: int):
@@ -377,7 +381,8 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
     not depend on the worker count.  A failing call raises once the calls
     before it have returned: the first failure in survivor order, as serially.
     """
-    require_counts(max_rounds=max_rounds, base_seed=base_seed)
+    require_counts(max_rounds=max_rounds)
+    require_seeds(base_seed=base_seed)
     specs = list(specs)
     if not specs:
         raise ContractError("nothing to select from")
@@ -385,6 +390,7 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
     if len(set(ids)) != len(ids):
         raise ContractError("spec ids must be unique")
 
+    words = np.array(ids)       # path words of the round seeds, one per spec
     ledger = SelectionLedger(instance_counts={sid: 0 for sid in ids})
     losses: list[list[float]] = [[] for _ in specs]
     survivors = list(range(len(specs)))
@@ -392,8 +398,9 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
     for round_index in range(1, max_rounds + 1):
         if len(survivors) <= 1:
             break
-        calls = [(specs[pos], round_index, substream_seed(base_seed, ids[pos], "round", round_index))
-                 for pos in survivors]
+        # one seed per survivor, all derived in one call
+        seeds = substream_seed(base_seed, words[survivors], "round", round_index).tolist()
+        calls = [(specs[pos], round_index, seed) for pos, seed in zip(survivors, seeds)]
         for pos, loss in zip(survivors, _round_losses(trainer, calls, workers)):
             losses[pos].append(float(loss))
             ledger.instance_counts[ids[pos]] += 1
@@ -458,7 +465,8 @@ def sample_size_sweep(spec: ModelSpec, sizes: Sequence[int], k: int,
 
     Rows carry the raw losses and their summary statistics, ready for tabulation.
     """
-    require_counts(sizes=tuple(sizes), base_seed=base_seed)
+    require_counts(sizes=tuple(sizes))
+    require_seeds(base_seed=base_seed)
     rows = []
     for n in sizes:
         seed = substream_seed(base_seed, "sweep", n)

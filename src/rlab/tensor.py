@@ -344,23 +344,33 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
     views = _pool_views(xd, window, stride, ho, wo)
     track = _records(x)
-    has_nan = np.isnan(np.max(xd))
+
+    def pool(exact, has_nan):
+        out = views[0].copy(order="K")
+        arg = np.zeros_like(out, np.min_scalar_type(len(views) - 1)) if track else None
+        for k, v in enumerate(views[1:], 1):
+            if track or exact:
+                better = v > out            # strict: the earlier of equal values stays
+                if has_nan:
+                    better |= np.isnan(v) & ~np.isnan(out)
+            if exact:
+                out = np.where(better, v, out)
+            else:
+                np.maximum(out, v, out=out)
+            if track:                       # k only grows, so max is an update
+                np.maximum(arg, better * arg.dtype.type(k), out=arg)
+        return out, arg
+
     # np.maximum returns the first maximum except between -0.0 and 0.0, whose
     # int64 view is the minimum, or among NaNs; there, select by `better`
-    exact = has_nan or xd.view(np.int64).min() == _NEG_ZERO_BITS
-    out = views[0].copy(order="K")
-    arg = np.zeros_like(out, np.min_scalar_type(len(views) - 1)) if track else None
-    for k, v in enumerate(views[1:], 1):
-        if track or exact:
-            better = v > out            # strict: the earlier of equal values stays
-            if has_nan:
-                better |= np.isnan(v) & ~np.isnan(out)
-        if exact:
-            out = np.where(better, v, out)
-        else:
-            np.maximum(out, v, out=out)
-        if track:                       # k only grows, so max is an update
-            np.maximum(arg, better * arg.dtype.type(k), out=arg)
+    if xd.view(np.int64).min() == _NEG_ZERO_BITS:
+        out, arg = pool(True, np.isnan(np.max(xd)))
+    else:
+        out, arg = pool(False, False)
+        # np.maximum carries a NaN that any window reads to that window's
+        # output; a NaN no window reads changes nothing
+        if np.isnan(np.max(out)):
+            out, arg = pool(True, True)
 
     def vjp(g, x=x, arg=arg):
         dx = np.zeros_like(xd)

@@ -514,6 +514,27 @@ class TestSelect:
         assert json.loads(serial["ledger.json"])["cumulative_trainings"] == 6 + 3
         assert self.select_reports(tmp_path, body, 2) == serial
 
+    def test_command_trainer_can_recompute_its_seed(self, tmp_path):
+        # the README's formula for RLAB_SEED, run by the external trainer itself
+        script = tmp_path / "trainer.py"
+        script.write_text(
+            "import os, sys, zlib\n"
+            "import numpy as np\n"
+            "words = (zlib.crc32(os.environ['RLAB_SPEC_ID'].encode()), zlib.crc32(b'round'),\n"
+            "         int(os.environ['RLAB_ROUND']))\n"
+            "state = np.random.SeedSequence(31, spawn_key=words).generate_state(1, np.uint64)\n"
+            "if int(state[0] >> np.uint64(1)) != int(os.environ['RLAB_SEED']):\n"
+            "    sys.exit(9)\n"
+            "print(0.5)\n"
+        )
+        body = {
+            "command": "select", "k": 2, "base_seed": 31,
+            "specs": [tiny_spec_dict(f"c{i}") for i in range(4)],
+            "trainer": {"kind": "command", "argv": [sys.executable, str(script)]},
+        }
+        assert json.loads(self.select_reports(tmp_path, body, 1)["ledger.json"])[
+            "cumulative_trainings"] == 4 + 2
+
     def test_first_failing_spec_reported_at_any_worker_count(self, tmp_path, capsys):
         # B fails late and C at once: run side by side, C fails first in time,
         # but B comes first in enumeration order, so B is the one reported

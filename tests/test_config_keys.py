@@ -155,7 +155,7 @@ def workdir(tmp_path_factory):
         yield d
 
 
-def run(config: dict, command: str) -> tuple[int, str]:
+def run(config: dict, command: str, *flags: str) -> tuple[int, str]:
     """(exit code, stderr) of one command, its reports written to a fresh directory."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out:
@@ -164,7 +164,7 @@ def run(config: dict, command: str) -> tuple[int, str]:
             yaml.safe_dump(config, fh)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([command, "--config", path, "--out", os.path.join(out, "reports"),
-                         "--workers", "1"])
+                         "--workers", "1", *flags])
     return code, err.getvalue()
 
 
@@ -272,6 +272,16 @@ BAD_CONFIGS = [
      "energy_range takes numbers only, got (True, 5)"),
     ("noise_b-true", {"command": "gen-data", "n": 4, "seed": 1, "generator": {"noise_b": True}},
      "noise_b takes numbers only, got True"),
+    ("select-base_seed-negative", dict(SELECT, base_seed=-1),
+     "base_seed must be a non-negative integer, got -1"),
+    ("robustness-base_seed-negative", dict(ROBUSTNESS, base_seed=-1),
+     "base_seed must be a non-negative integer, got -1"),
+    ("sweep-base_seed-negative", dict(CONFIGS["c13-sweep"], base_seed=-4),
+     "base_seed must be a non-negative integer, got -4"),
+    ("gen-data-seed-negative", {"command": "gen-data", "n": 4, "seed": -3},
+     "seed must be a non-negative integer, got -3"),
+    ("train-init_seed-negative", dict(CONFIGS["c13-train"], init_seed=-2),
+     "init_seed must be a non-negative integer, got -2"),
 ]
 
 
@@ -279,6 +289,14 @@ BAD_CONFIGS = [
                          ids=[c[0] for c in BAD_CONFIGS])
 def test_bad_config_is_one_config_error_line(workdir, config, message):
     assert run(config, config["command"]) == (EXIT_CONFIG, f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("name, key", [("c13-gen-data", "seed"), ("c13-train", "init_seed"),
+                                       ("c13-robustness", "base_seed"), ("c13-select", "base_seed"),
+                                       ("c13-sweep", "base_seed")])
+def test_negative_seed_flag_names_the_key_it_sets(workdir, name, key):
+    assert run(CONFIGS[name], CONFIGS[name]["command"], "--seed", "-5") == (
+        EXIT_CONFIG, f"config error: {key} must be a non-negative integer, got -5\n")
 
 
 def test_library_counts_are_checked_before_any_training(workdir, monkeypatch):

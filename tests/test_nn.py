@@ -18,6 +18,7 @@ from rlab.nn import (
     elu, enumerate_search_space, feature_shapes, gelu, he_init, leaky_relu,
     param_count, prelu, preset_spec, reference_search_space, relu, sigmoid, tanh,
 )
+from rlab.optim import OptimizerConfig
 from rlab.tensor import Tensor, finite_diff_check
 
 # Independently recomputed totals for the four reference configurations.
@@ -284,6 +285,30 @@ class TestSpecIds:
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec
         assert back.spec_id() == spec.spec_id() == self.fresh_id(spec)
+
+    def test_id_is_the_sha1_of_the_sorted_json(self):
+        """The id is assembled from cached JSON fragments; it must be the hash
+        of the whole JSON for every spec of both grids and the presets, and
+        for an adamw config holding l2=-0.0, which equals one with 0.0."""
+        specs = [s for target in ("energy", "position_x")
+                 for s in enumerate_search_space(reference_search_space(target))]
+        specs += [preset_spec(pid) for pid in PRESET_COUNTS]
+        negative = OptimizerConfig("adamw", learning_rate=1e-3, l2=-0.0, weight_decay=0.1)
+        plain = dataclasses.replace(negative, l2=0.0)
+        assert negative == plain
+        for opt in (negative, plain):
+            specs.append(dataclasses.replace(preset_spec("model2"), optimizer=opt,
+                                             name='quote " and \u00e9'))
+        assert len(specs) == 2 * 6912 + 4 + 2
+        assert [s.spec_id() for s in specs] == [self.fresh_id(s) for s in specs]
+        assert specs[-1].spec_id() != specs[-2].spec_id()
+
+    def test_architecture_checked_once_still_checks_counts(self):
+        spec = preset_spec("model1")
+        for bad in ({"conv_layers": ((32.0, 3), (64, 3))}, {"fc_layers": (9, True)},
+                    {"aux_injection_layer": 0.0}):
+            with pytest.raises(ContractError, match="takes integers only"):
+                dataclasses.replace(spec, **bad)
 
     def test_id_is_not_a_field(self):
         spec = preset_spec("model4")

@@ -211,3 +211,45 @@ class TestStateAndErrors:
     def test_config_round_trip(self):
         cfg = OptimizerConfig("adamw", learning_rate=0.001, weight_decay=0.1)
         assert OptimizerConfig(**cfg.to_dict()) == cfg
+
+
+class TestAdaptiveBitsUnchanged:
+    """Adam, AdamW and NAdam update their moments in place; each step must
+    give the bits of the plain expressions below, operation for operation."""
+
+    @staticmethod
+    def reference(kind, cfg, w, grads):
+        """The weights after each step."""
+        m, v = np.zeros_like(w), np.zeros_like(w)
+        for t, g in enumerate(grads, 1):
+            if cfg.l2 != 0.0:
+                g = g + cfg.l2 * w
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            v_hat = v / (1.0 - cfg.beta2 ** t)
+            if kind == "nadam":
+                m_bar = (cfg.beta1 * m / (1.0 - cfg.beta1 ** (t + 1))
+                         + (1.0 - cfg.beta1) * g / (1.0 - cfg.beta1 ** t))
+                w = w - cfg.learning_rate * m_bar / (np.sqrt(v_hat) + cfg.epsilon)
+            else:
+                m_hat = m / (1.0 - cfg.beta1 ** t)
+                w = w + -cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+                if kind == "adamw":
+                    w = w - cfg.learning_rate * cfg.weight_decay * w
+            yield w
+
+    @pytest.mark.parametrize("kind, reg", [("adam", {}), ("adam", {"l2": 0.03}),
+                                           ("adamw", {"weight_decay": 0.1}),
+                                           ("nadam", {}), ("nadam", {"l2": 0.01})])
+    def test_steps_match_the_plain_expressions(self, kind, reg):
+        rng = np.random.default_rng(3)
+        cfg = OptimizerConfig(kind, learning_rate=0.01, beta1=0.85, beta2=0.99, **reg)
+        w0 = rng.normal(size=(40, 25))
+        grads = [rng.normal(size=w0.shape) * 10.0 ** rng.integers(-6, 3) for _ in range(5)]
+        grads[2][0, 0] = 0.0
+        p = Tensor(w0.copy(), requires_grad=True)
+        opt = make_optimizer([p], cfg)
+        for g, want in zip(grads, self.reference(kind, cfg, w0, grads)):
+            p.grad = g
+            opt.step()
+            assert p.data.view(np.uint64).tolist() == want.view(np.uint64).tolist()

@@ -37,3 +37,10 @@ def test_module_uses_its_imports(path):
     unused = [name for name in unused_imports(path.read_text())
               if (path.stem, name) not in USED_ELSEWHERE]
     assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "seeding"],
+                         ids=lambda p: p.stem)
+def test_seeds_are_derived_in_seeding_only(path):
+    assert "SeedSequence(" not in path.read_text(), (
+        f"{path.name} builds a SeedSequence; derive seeds through rlab.seeding")

@@ -167,6 +167,32 @@ class TestMaxPoolOracle:
         out.sum().backward()
         np.testing.assert_array_equal(x.grad, [[[[0.0, 0.0], [1.0, 0.0]]]])
 
+    # NaNs of distinct payloads: a window yields the bits of its first NaN
+    _NAN_A = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
+    _NAN_B = np.array([0xFFF8000000000002], np.uint64).view(np.float64)[0]
+
+    @pytest.mark.parametrize("cells, window, stride", [
+        ({(1, 1): _NAN_A}, 2, 2),                       # last offset of its window
+        ({(0, 1): _NAN_A, (1, 1): _NAN_B}, 2, 2),       # two NaNs in one window
+        ({(2, 3): _NAN_B, (3, 2): _NAN_A}, 3, 1),       # overlapping windows
+        ({(4, 0): _NAN_A, (1, 4): _NAN_B}, 2, 2),       # only in the cropped border
+        ({(2, 1): np.nan}, 2, 3),                       # in the gap between windows
+    ])
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_nan_placed_late_or_unread(self, cells, window, stride, grad):
+        x = np.arange(25.0).reshape(1, 1, 5, 5) % 7
+        for (i, j), v in cells.items():
+            x[0, 0, i, j] = v
+        g = np.linspace(1.0, 2.0, ((5 - window) // stride + 1) ** 2).reshape(
+            1, 1, (5 - window) // stride + 1, -1)
+        want_out, want_dx = maxpool_reference(x, window, stride, g)
+        t = Tensor(x, requires_grad=grad)
+        out = maxpool2d(t, window, stride)
+        assert bits(out.data) == bits(want_out)
+        if grad:
+            out._vjp(g)
+            assert bits(t.grad) == bits(want_dx)
+
     def test_output_keeps_channels_last_layout(self):
         x = np.zeros((2, 13, 13, 8)).transpose(0, 3, 1, 2)
         t = Tensor(x, requires_grad=True)
