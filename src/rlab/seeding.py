@@ -12,7 +12,6 @@ of a whole array of path words.
 
 from __future__ import annotations
 
-import functools
 import zlib
 
 import numpy as np
@@ -31,20 +30,16 @@ def _word(part):
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
     if isinstance(part, np.ndarray):     # each entry as a word of its own
-        if part.dtype.kind == "U":
-            return np.fromiter(map(_word, part.tolist()), np.uint64, part.size)
-        if part.dtype.kind not in "iu":
-            raise ContractError(f"path word arrays hold integers or strings, got {part.dtype}")
-        return part.astype(np.uint64) & _MASK
+        return np.fromiter(map(_word, part.tolist()), np.uint64, part.size)
     return int(part) & _MASK
 
 
 # Each step works on 32-bit words held in Python ints or uint64 arrays: the
 # product of two words fits in 64 bits, and & _MASK wraps it as uint32 would.
 
-def _hashmix(value, const: int):
+def _hashmix(value, const: int, mult: int = MULT_A):
     """(hashed value, next hash constant)."""
-    after = const * MULT_A & _MASK
+    after = const * mult & _MASK
     value = (value ^ const) * after & _MASK
     return value ^ value >> 16, after
 
@@ -63,8 +58,7 @@ def _absorb(pool: list, words, const: int) -> int:
     return const
 
 
-@functools.lru_cache(maxsize=64)
-def _base_pool(base_seed: int) -> tuple[tuple, int]:
+def _base_pool(base_seed: int) -> tuple[list, int]:
     """The pool after base_seed's words, zero-padded to the pool size, and the
     hash constant after them.  Without path words numpy pads nothing, but it
     hashes a missing word as a zero one: the pool is the same."""
@@ -82,7 +76,7 @@ def _base_pool(base_seed: int) -> tuple[tuple, int]:
                 hashed, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], hashed)
     const = _absorb(pool, words[POOL_SIZE:], const)
-    return tuple(pool), const
+    return pool, const
 
 
 def substream(base_seed: int, *path: int | str) -> np.random.Generator:
@@ -97,16 +91,13 @@ def substream_seed(base_seed: int, *path: int | str | np.ndarray) -> int | np.nd
 
     Used where an API wants a plain seed (e.g. per-instance init seeds that
     get recorded in reports) rather than a Generator.  One path word may be
-    an array of integers or strings: the result is then a uint64 array, one
-    seed per entry.  (A numpy str array drops its entries' trailing NULs.)
+    an array of strings: the result is then a uint64 array, one seed per
+    entry.  (A numpy str array drops its entries' trailing NULs.)
     """
     pool, const = _base_pool(int(base_seed))
-    pool = list(pool)
     _absorb(pool, [_word(p) for p in path], const)
-    const, halves = INIT_B, []
+    halves, const = [], INIT_B
     for word in pool[:2]:
-        after = const * MULT_B & _MASK
-        value = (word ^ const) * after & _MASK
-        halves.append(value ^ value >> 16)
-        const = after
+        hashed, const = _hashmix(word, const, MULT_B)
+        halves.append(hashed)
     return (halves[0] | halves[1] << 32) >> 1
