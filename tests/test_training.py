@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import rlab.training
 from rlab.calo import GeneratorConfig, generate_dataset
 from rlab.errors import ContractError
-from rlab.nn import Model, ModelSpec, preset_spec
+from rlab.nn import Model, ModelSpec, preset_spec, reference_search_space
 from rlab.optim import OptimizerConfig
 from rlab.seeding import substream
 from rlab.tensor import Tensor
@@ -478,6 +478,12 @@ def pin_sets():
     return generate_dataset(cfg, 200, seed=303), generate_dataset(cfg, 100, seed=404)
 
 
+@pytest.fixture(scope="module")
+def chunk_sets():
+    cfg = GeneratorConfig()
+    return generate_dataset(cfg, 270, seed=505), generate_dataset(cfg, 300, seed=606)
+
+
 def _trace_digest(spec, pin_sets, init_seed=7):
     train, test = pin_sets
     stop = EarlyStopConfig(min_epochs=2, window=1, hard_cap=2)
@@ -523,3 +529,24 @@ class TestTrainingBitsPinned:
     def test_model2_activations(self, pin_sets, activation, expected):
         spec = replace(preset_spec("model2"), activation=activation)
         assert _trace_digest(spec, pin_sets) == expected
+
+    # 270 training events end every epoch on a partial batch at batch 32 and
+    # 64; 300 evaluation events are one full EVAL_BATCH chunk and a partial one
+    @pytest.mark.parametrize("name, expected", [
+        ("model1",
+         "b30bc84e8178b19508ab74316919c7a884788fc0b73e35537f0eef874d2cedbe"),
+        ("model2",
+         "b2f225aca6239c44bdb22e0b72bb5db877445a664569aa63d26be70c30b263aa"),
+        # pools (2,2) and (2,2): 15 -> 14 -> 7 -> 6 -> 3, no border cropped
+        ("cnn-k2-f16x32-fc9x1-none",
+         "cc7ee30146720d99047879facbc4ded0bbd6ba0cf35ca508fafd9a7290e87865"),
+        # pools (2,2) and (1,1): 15 -> 11 -> 5, the pool crops the last row
+        ("cnn-k5-f32x64-fc64x9x1-energy_sum",
+         "d6f770f5f1c711646e60800ca041d7c4b08556dda777cd739ad7cdf2d601a0ba"),
+    ])
+    def test_partial_batches_and_eval_chunks(self, chunk_sets, name, expected):
+        specs = {s.name: s for s in reference_search_space().architectures}
+        spec = specs[name] if name in specs else preset_spec(name)
+        train, test = chunk_sets
+        assert len(train) % spec.batch_size and EVAL_BATCH < len(test) < 2 * EVAL_BATCH
+        assert _trace_digest(spec, chunk_sets) == expected
