@@ -331,7 +331,9 @@ def cmd_select(out_dir: str, workers: int, *, k: int, trainer: dict,
     specs = _specs_from(specs, search_space)
     criterion = _block(SelectionCriterion, criterion, "criterion")
     policy = _kind_block(POLICIES, policy, "policy", default="halving")
-    with _kind_block(TRAINERS, trainer, "trainer", workers) as (trainer, concurrency):
+    # a fork pool starts all its workers at once: no more than a round has calls
+    with _kind_block(TRAINERS, trainer, "trainer", min(workers, len(specs))) as (
+            trainer, concurrency):
         winners, ledger = select_models(specs, criterion=criterion, policy=policy,
                                         trainer=trainer, max_rounds=max_rounds,
                                         base_seed=base_seed, workers=concurrency)

@@ -124,6 +124,21 @@ sigmoid, tanh, relu, leaky_relu, elu, gelu = (
     _elementwise(kind) for kind in ("sigmoid", "tanh", "relu", "leaky_relu", "elu", "gelu"))
 
 
+def _relu_pool(x: Tensor, window: int, stride: int) -> Tensor:
+    """maxpool2d(relu(x), window, stride), computed on the pooled map.
+
+    Relu is monotone and maps -0.0 to 0.0, so relu(max(w)) has the bits of
+    max(relu(w)) for each window w that holds no NaN.  The gradient then
+    reaches the same element, or is a signed zero either way, and _accum
+    drops the sign.  Relu maps a NaN to 0.0, so a window that holds one is
+    pooled after the activation, in the old order.
+    """
+    pooled = maxpool2d(x, window, stride)
+    if np.isnan(np.max(pooled.data)):    # a window's output is NaN iff it reads one
+        return maxpool2d(relu(x), window, stride)
+    return relu(pooled)     # the module global: a tracer's rebinding sees the call
+
+
 def _slope_broadcast(xshape: tuple[int, ...], n: int) -> tuple[int, ...]:
     # axis 1: channels of [N,C,H,W] feature maps, units of [N,n] vectors
     if len(xshape) < 2 or xshape[1] != n:
@@ -407,8 +422,11 @@ class Model:
 
         for kern, slope, (window, stride) in zip(self.conv_kernels, self.conv_slopes,
                                                  self.spec.pool_layers):
-            x = self._activate(conv2d(x, kern), slope)
-            x = maxpool2d(x, window, stride)
+            x = conv2d(x, kern)
+            if self.spec.activation == "relu":
+                x = _relu_pool(x, window, stride)
+            else:
+                x = maxpool2d(self._activate(x, slope), window, stride)
         x = x.reshape(n, self._flat_width)
 
         last = len(self.fc_weights) - 1

@@ -267,12 +267,22 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 # -- layer ops -------------------------------------------------------------------
 
 
+# (C, H, W, kh, kw) -> _im2col's gather index into one channels-last sample
+_IM2COL_INDEX: dict[tuple[int, ...], Array] = {}
+
+
 def _im2col(x: Array, kh: int, kw: int) -> tuple[Array, int, int]:
-    # [N,C,H,W] -> ([N*H'*W', C*kh*kw], H', W') for stride-1 valid windows.
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    n, c, ho, wo = win.shape[:4]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
-    return cols, ho, wo
+    # [N,C,H,W] -> ([N*H'*W', C*kh*kw], H', W') for stride-1 valid windows,
+    # columns ordered (c, di, dj): one gather from the channels-last samples
+    n, c, h, w = x.shape
+    ho, wo = h - kh + 1, w - kw + 1
+    key = (c, h, w, kh, kw)
+    index = _IM2COL_INDEX.get(key)
+    if index is None:
+        i, j, ch, di, dj = np.ix_(range(ho), range(wo), range(c), range(kh), range(kw))
+        index = _IM2COL_INDEX[key] = (((i + di) * w + j + dj) * c + ch).reshape(ho * wo, -1)
+    samples = x.transpose(0, 2, 3, 1).reshape(n, h * w * c)    # a view when channels-last
+    return np.take(samples, index, axis=1).reshape(n * ho * wo, c * kh * kw), ho, wo
 
 
 def conv2d(x: Tensor, kernels: Tensor) -> Tensor:

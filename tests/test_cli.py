@@ -30,6 +30,7 @@ from rlab.cli import (
 )
 from rlab.errors import ConfigError
 from rlab.nn import PRESET_IDS, enumerate_search_space, preset_spec, reference_search_space
+from rlab.robustness import InstanceRunner
 
 ONE_EPOCH = {"min_epochs": 1, "window": 1, "threshold": 1e9, "hard_cap": 1}
 
@@ -495,6 +496,28 @@ class TestSelect:
         serial = self.select_reports(tmp_path, body, 1)
         assert json.loads(serial["ledger.json"])["cumulative_trainings"] == 6
         assert self.select_reports(tmp_path, body, 2) == serial
+
+    def test_instances_trainer_pool_bounded_by_spec_count(self, tmp_path, data_files,
+                                                          monkeypatch):
+        # a fork pool starts every worker it is given; trained here, in-process
+        asked = []
+
+        class RecordingRunner(InstanceRunner):
+            def __init__(self, pool, test_set, workers=1):
+                asked.append(workers)
+                super().__init__(pool, test_set, 1)
+
+        monkeypatch.setattr(rlab.cli, "InstanceRunner", RecordingRunner)
+        train, test = data_files
+        body = {"command": "select", "k": 2,
+                "specs": [tiny_spec_dict(f"s{i}", lr=lr)
+                          for i, lr in enumerate([1e-3, 1e-2, 3e-2])],
+                "trainer": {"kind": "instances", "train_data": train, "test_data": test,
+                            "sample_size": 32, "stop": dict(ONE_EPOCH)}}
+        cfg = write_config(tmp_path / "s.yaml", body)
+        assert main(["select", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--workers", "500"]) == EXIT_OK
+        assert asked == [3]
 
     def test_command_trainer_reports_independent_of_workers(self, tmp_path):
         # the loss depends on the seed, so a call given another spec's seed shows

@@ -19,7 +19,7 @@ from rlab.nn import (
     param_count, prelu, preset_spec, reference_search_space, relu, sigmoid, tanh,
 )
 from rlab.optim import OptimizerConfig
-from rlab.tensor import Tensor, finite_diff_check
+from rlab.tensor import Tensor, concat, conv2d, finite_diff_check, linear, maxpool2d
 
 # Independently recomputed totals for the four reference configurations.
 PRESET_COUNTS = {"model1": 23_923, "model2": 23_932, "model3": 23_644, "model4": 23_662}
@@ -189,6 +189,107 @@ class TestRectifierOracle:
         x = np.array([[np.inf, -2.0], [3.0, -np.inf]])
         _, _, ds = run_vjp(prelu, x, np.ones((2, 2)), np.array([0.25, 0.5]))
         assert bits(ds) == bits(np.array([0.0, -np.inf]))
+
+
+# tied positives, signed zeros, subnormals, infinities and NaNs of both signs
+_STAGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                     np.inf, -np.inf, np.nan, -np.nan]),
+    st.floats(-4.0, 4.0))
+
+
+@st.composite
+def relu_pool_cases(draw):
+    """(x, window, stride, g): stride < window overlaps windows, stride >=
+    window keeps them disjoint, and a remainder crops the border."""
+    window, stride = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+             draw(st.integers(window, window + 5)), draw(st.integers(window, window + 5)))
+    x = draw(arrays(np.float64, shape, elements=_STAGE_VALUES))
+    if draw(st.booleans()):        # channels-last in memory, as conv2d writes it
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    g_shape = shape[:2] + ((shape[2] - window) // stride + 1, (shape[3] - window) // stride + 1)
+    g = draw(arrays(np.float64, g_shape,
+                    elements=st.sampled_from([1.0, -0.5, 3.0, 0.0, -0.0, 1e-300, -5e-324])))
+    return x, window, stride, g
+
+
+def stage_vjp(stage, x, g):
+    """(value, input gradient after _accum) of stage at x for output gradient g."""
+    t = Tensor(x, requires_grad=True)
+    out = stage(t)
+    with np.errstate(invalid="ignore"):     # inf * 0 in the loss; g is what counts
+        (out * Tensor(g)).sum().backward()
+    return out.data, t.grad
+
+
+class TestReluPoolOracle:
+    """A relu conv stage pools before the activation: the value and input
+    gradient bits of the old order, pooling after relu."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=relu_pool_cases())
+    def test_bitwise_equal_to_pooling_after_relu(self, case):
+        x, window, stride, g = case
+        got = stage_vjp(lambda t: rlab.nn._relu_pool(t, window, stride), x, g)
+        want = stage_vjp(lambda t: maxpool2d(relu(t), window, stride), x, g)
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    def test_nan_beside_a_positive_takes_the_old_order(self, monkeypatch):
+        x = np.array([[[[np.nan, 3.0], [1.0, -2.0]]]])
+        g = np.array([[[[2.0]]]])
+        assert relu(maxpool2d(Tensor(x), 2, 2)).data.item() == 0.0    # the new order alone
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:])
+            return maxpool2d(*args)
+
+        monkeypatch.setattr(rlab.nn, "maxpool2d", counting)
+        got = stage_vjp(lambda t: rlab.nn._relu_pool(t, 2, 2), x, g)
+        assert calls == [(2, 2), (2, 2)]        # pooled, found the NaN, pooled again
+        want = stage_vjp(lambda t: maxpool2d(relu(t), 2, 2), x, g)
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+        assert got[0].item() == 3.0
+
+
+def old_order_forward(model, x, aux):
+    """Model.forward of a relu spec with each conv stage in the old order:
+    conv2d, relu, maxpool2d."""
+    n = x.data.shape[0]
+    for kern, (window, stride) in zip(model.conv_kernels, model.spec.pool_layers):
+        x = maxpool2d(relu(conv2d(x, kern)), window, stride)
+    x = x.reshape(n, -1)
+    last = len(model.fc_weights) - 1
+    for j, (w, b) in enumerate(zip(model.fc_weights, model.fc_biases)):
+        if j == model.spec.aux_injection_layer and aux is not None:
+            x = concat([x, aux], axis=1)
+        x = linear(x, w, b)
+        if j < last:
+            x = relu(x)
+    return x.reshape(n)
+
+
+class TestReluStageOrderInModel:
+    @pytest.mark.parametrize("name", ["model2", "cnn-k5-f32x64-fc64x9x1-energy_sum"])
+    def test_forward_and_backward_bits_of_the_old_order(self, name):
+        specs = {s.name: s for s in reference_search_space().architectures}
+        model = Model(specs.get(name) or preset_spec(name), 4)
+        rng = np.random.default_rng(6)
+        # calorimeter-like: most cells empty, so many windows pool zeros and ties
+        data = rng.exponential(2.0, (9, 1, 15, 15)) * (rng.random((9, 1, 15, 15)) < 0.3)
+        aux = Tensor(data.sum(axis=(1, 2, 3)).reshape(9, 1))
+        g = Tensor(rng.normal(size=9))
+        runs = []
+        for forward in (model.forward, lambda x, aux: old_order_forward(model, x, aux)):
+            x = Tensor(data, requires_grad=True)
+            out = forward(x, aux)
+            (out * g).sum().backward()
+            runs.append([bits(out.data), bits(x.grad)]
+                        + [bits(p.grad) for p in model.parameters()])
+            for p in model.parameters():
+                p.grad = None
+        assert runs[0] == runs[1]
 
 
 class TestHeInit:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
+import rlab.tensor
 from rlab.errors import ContractError, ShapeError
 from rlab.tensor import (
     Tensor, concat, conv2d, finite_diff_check, linear, maxpool2d, trace, zero_grads,
@@ -221,6 +222,46 @@ class TestDisjointPoolGradient:
             out._vjp(g)
         assert bits(first) == bits(want)
         assert bits(t.grad) == bits(want + want)
+
+
+def im2col_reference(x, kh, kw):
+    """The sliding_window_view copy that conv2d's gather im2col replaced."""
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    n, c, ho, wo = win.shape[:4]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+    return cols, ho, wo
+
+
+class TestIm2colOracle:
+    @pytest.mark.parametrize("c", [1, 3, 32])
+    @pytest.mark.parametrize("channels_last", [False, True])
+    def test_gather_equals_window_copy(self, c, channels_last, monkeypatch):
+        monkeypatch.setattr(rlab.tensor, "_IM2COL_INDEX", {})
+        rng = np.random.default_rng(c)
+        keys = set()
+        for n, h, w in [(1, 5, 5), (2, 6, 9), (3, 8, 5)]:
+            x = rng.normal(size=(n, c, h, w))
+            if channels_last:      # as conv2d and maxpool2d write feature maps
+                x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+            for kh in range(1, 6):
+                for kw in range(1, 6):
+                    if kh > h or kw > w:
+                        continue
+                    cols, ho, wo = rlab.tensor._im2col(x, kh, kw)
+                    want, want_ho, want_wo = im2col_reference(x, kh, kw)
+                    assert (ho, wo) == (want_ho, want_wo)
+                    assert cols.flags.c_contiguous and bits(cols) == bits(want)
+                    keys.add((c, h, w, kh, kw))
+        # the batch size is not part of the key
+        assert sorted(rlab.tensor._IM2COL_INDEX) == sorted(keys)
+
+    def test_one_index_per_shape_across_calls(self, monkeypatch):
+        monkeypatch.setattr(rlab.tensor, "_IM2COL_INDEX", {})
+        kern = Tensor(np.ones((4, 2, 3, 3)))
+        for n in (1, 5, 1):
+            conv2d(Tensor(np.ones((n, 2, 7, 6))), kern)
+        index = rlab.tensor._IM2COL_INDEX
+        assert list(index) == [(2, 7, 6, 3, 3)] and index[(2, 7, 6, 3, 3)].shape == (5 * 4, 18)
 
 
 def conv_input_grad_reference(g, kern):
