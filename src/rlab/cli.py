@@ -331,7 +331,7 @@ def cmd_select(out_dir: str, workers: int, *, k: int, trainer: dict,
     specs = _specs_from(specs, search_space)
     criterion = _block(SelectionCriterion, criterion, "criterion")
     policy = _kind_block(POLICIES, policy, "policy", default="halving")
-    # a fork pool starts all its workers at once: no more than a round has calls
+    # a fork pool starts all its workers at once; a round makes at most one call per spec
     with _kind_block(TRAINERS, trainer, "trainer", min(workers, len(specs))) as (
             trainer, concurrency):
         winners, ledger = select_models(specs, criterion=criterion, policy=policy,

@@ -130,8 +130,8 @@ def _relu_pool(x: Tensor, window: int, stride: int) -> Tensor:
     Relu is monotone and maps -0.0 to 0.0, so relu(max(w)) has the bits of
     max(relu(w)) for each window w that holds no NaN.  The gradient then
     reaches the same element, or is a signed zero either way, and _accum
-    drops the sign.  Relu maps a NaN to 0.0, so a window that holds one is
-    pooled after the activation, in the old order.
+    drops the sign.  Relu maps a NaN to 0.0, so when a window holds one the
+    stage is computed again with the pool after the activation.
     """
     pooled = maxpool2d(x, window, stride)
     if np.isnan(np.max(pooled.data)):    # a window's output is NaN iff it reads one

@@ -280,7 +280,9 @@ def _im2col(x: Array, kh: int, kw: int) -> tuple[Array, int, int]:
     index = _IM2COL_INDEX.get(key)
     if index is None:
         i, j, ch, di, dj = np.ix_(range(ho), range(wo), range(c), range(kh), range(kw))
-        index = _IM2COL_INDEX[key] = (((i + di) * w + j + dj) * c + ch).reshape(ho * wo, -1)
+        index = (((i + di) * w + j + dj) * c + ch).reshape(ho * wo, -1)
+        index.flags.writeable = False       # shared by every later call
+        _IM2COL_INDEX[key] = index
     samples = x.transpose(0, 2, 3, 1).reshape(n, h * w * c)    # a view when channels-last
     return np.take(samples, index, axis=1).reshape(n * ho * wo, c * kh * kw), ho, wo
 

@@ -252,10 +252,9 @@ class TestIm2colOracle:
                     assert (ho, wo) == (want_ho, want_wo)
                     assert cols.flags.c_contiguous and bits(cols) == bits(want)
                     keys.add((c, h, w, kh, kw))
-        # the batch size is not part of the key
         assert sorted(rlab.tensor._IM2COL_INDEX) == sorted(keys)
 
-    def test_one_index_per_shape_across_calls(self, monkeypatch):
+    def test_batch_size_is_not_part_of_the_key(self, monkeypatch):
         monkeypatch.setattr(rlab.tensor, "_IM2COL_INDEX", {})
         kern = Tensor(np.ones((4, 2, 3, 3)))
         for n in (1, 5, 1):
