@@ -177,18 +177,6 @@ def generate_dataset(cfg: GeneratorConfig, n: int, seed: int) -> Dataset:
     return Dataset(clusters, energy, x, y, tx, ty, cfg, seed=seed)
 
 
-def split_fixed(dataset: Dataset, ratio: float = 0.5, seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Disjoint, exhaustive shuffle-split; half rounds up to the first part."""
-    if not 0.0 < ratio < 1.0:
-        raise ContractError("ratio must be strictly between 0 and 1")
-    n = len(dataset)
-    perm = substream(seed, "split").permutation(n)
-    n_first = int(np.floor(n * ratio + 0.5))
-    if n_first == 0 or n_first == n:
-        raise ContractError(f"split of {n} events at ratio {ratio} leaves one side empty")
-    return dataset.take(perm[:n_first]), dataset.take(perm[n_first:])
-
-
 def bootstrap_sample(pool: Dataset, size: int, seed: int) -> Dataset:
     """Draw `size` events with replacement; the seed pins the multiset."""
     if size < 1:
@@ -227,7 +215,7 @@ def cluster_barycenter(clusters: np.ndarray) -> np.ndarray:
     """Energy-weighted mean position, origin at grid center, cell-width units.
 
     Returns [2] (x, y) for one cluster or [N, 2] for a batch.  All-zero
-    clusters have no barycenter and raise DegenerateFitError.
+    clusters have no barycenter and raise DegenerateFitError naming the first.
     """
     arr = np.asarray(clusters, dtype=np.float64)
     single = arr.ndim == 2
@@ -235,7 +223,8 @@ def cluster_barycenter(clusters: np.ndarray) -> np.ndarray:
         arr = arr[None]
     total = arr.sum(axis=(1, 2))
     if np.any(total == 0.0):
-        raise DegenerateFitError("all-zero cluster has no barycenter")
+        raise DegenerateFitError(
+            f"cluster {np.argmax(total == 0.0)} is all zero and has no barycenter")
     bx = (arr.sum(axis=1) @ _COORDS) / total      # sum over rows -> column marginal
     by = (arr.sum(axis=2) @ _COORDS) / total
     out = np.stack([bx, by], axis=1)

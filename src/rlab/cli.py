@@ -26,8 +26,9 @@ import yaml
 from .calo import bootstrap_sample  # noqa: F401
 from .calo import (GeneratorConfig, generate_dataset, load_dataset, sample_size_schedule,
                    save_dataset)
-from .errors import (ConfigError, ContractError, DatasetFormatError, WorkerLostError,
-                     require_counts, require_reals, require_seeds, require_strings)
+from .errors import (ConfigError, ContractError, DatasetFormatError, DegenerateFitError,
+                     WorkerLostError, require_counts, require_reals, require_seeds,
+                     require_strings)
 from .nn import (ModelSpec, SearchSpace, TARGETS, enumerate_search_space,
                  preset_spec, reference_search_space)
 from .robustness import (
@@ -47,7 +48,7 @@ from .training import EarlyStopConfig, train_instance
 
 EXIT_OK = 0
 EXIT_CONFIG = 2          # malformed or contradictory configuration
-EXIT_DATA = 3            # missing or corrupt input files, failed trainer, lost worker
+EXIT_DATA = 3            # missing, corrupt or degenerate data, failed trainer, lost worker
 EXIT_DIVERGED = 4        # the run finished but produced only diverged losses
 
 COMMANDS = ("gen-data", "train", "robustness", "select", "sweep", "report")
@@ -485,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None and config.command in SEED_KEYS:
             body[SEED_KEYS[config.command]] = args.seed
         return HANDLERS[config.command](out_dir, workers, **body)
-    except DatasetFormatError as e:
+    except (DatasetFormatError, DegenerateFitError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except WorkerLostError as e:

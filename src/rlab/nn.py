@@ -173,26 +173,6 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     return Tensor._result(out, (x, slopes), "prelu", vjp)
 
 
-def activation_value(kind: str, x: float, slope: float = PRELU_INIT) -> float:
-    """Scalar reference evaluation of one catalogue entry."""
-    import math
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + math.exp(-x))
-    if kind == "tanh":
-        return math.tanh(x)
-    if kind == "relu":
-        return max(0.0, x)
-    if kind == "leaky_relu":
-        return x if x > 0.0 else LEAKY_SLOPE * x
-    if kind == "prelu":
-        return x if x > 0.0 else slope * x
-    if kind == "elu":
-        return x if x > 0.0 else math.exp(x) - 1.0
-    if kind == "gelu":
-        return x * 0.5 * (1.0 + math.erf(x * _INV_SQRT2))
-    raise CatalogueError(f"unknown activation {kind!r}, expected one of {ACTIVATIONS}")
-
-
 # -- initialization --------------------------------------------------------------
 
 
@@ -338,11 +318,6 @@ def feature_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:
     return out
 
 
-def param_count(spec: ModelSpec) -> int:
-    """Trainable scalars: conv kernels, fc weights+biases, learnable slopes."""
-    return sum(p.size for p in Model(spec, 0).parameters())
-
-
 # -- realization -------------------------------------------------------------------
 
 
@@ -442,37 +417,30 @@ class Model:
 # -- presets --------------------------------------------------------------------
 
 
+# the four reference configurations (energy x position, raw x aux-fed)
+PRESETS = {
+    "model1": dict(pool_layers=((2, 2), (2, 1)), fc_layers=(9, 1), activation="relu",
+                   optimizer=OptimizerConfig("nadam", learning_rate=1e-4, l2=0.01),
+                   batch_size=64, target="energy"),
+    "model2": dict(pool_layers=((2, 2), (2, 1)), fc_layers=(9, 1), activation="relu",
+                   optimizer=OptimizerConfig("adamw", learning_rate=1e-3, weight_decay=0.1),
+                   batch_size=32, target="energy", aux="energy_sum", aux_injection_layer=0),
+    "model3": dict(pool_layers=((2, 2), (4, 4)), fc_layers=(64, 9, 1), activation="prelu",
+                   optimizer=OptimizerConfig("adamw", learning_rate=1e-4, weight_decay=0.1),
+                   batch_size=32, target="position_x"),
+    "model4": dict(pool_layers=((2, 2), (4, 4)), fc_layers=(64, 9, 1), activation="prelu",
+                   optimizer=OptimizerConfig("adamw", learning_rate=1e-4, weight_decay=0.1),
+                   batch_size=32, target="position_x", aux="barycenter", aux_injection_layer=1),
+}
+PRESET_IDS = tuple(PRESETS)
+
+
 def preset_spec(preset_id: str) -> ModelSpec:
-    """The four reference configurations (energy x position, raw x aux-fed)."""
+    """One of PRESETS by case-insensitive id; all four share their conv layers."""
     key = preset_id.lower()
-    if key == "model1":
-        return ModelSpec(
-            name="model1", conv_layers=((32, 3), (64, 3)), pool_layers=((2, 2), (2, 1)),
-            fc_layers=(9, 1), activation="relu",
-            optimizer=OptimizerConfig("nadam", learning_rate=1e-4, l2=0.01),
-            batch_size=64, target="energy")
-    if key == "model2":
-        return ModelSpec(
-            name="model2", conv_layers=((32, 3), (64, 3)), pool_layers=((2, 2), (2, 1)),
-            fc_layers=(9, 1), activation="relu",
-            optimizer=OptimizerConfig("adamw", learning_rate=1e-3, weight_decay=0.1),
-            batch_size=32, target="energy", aux="energy_sum", aux_injection_layer=0)
-    if key == "model3":
-        return ModelSpec(
-            name="model3", conv_layers=((32, 3), (64, 3)), pool_layers=((2, 2), (4, 4)),
-            fc_layers=(64, 9, 1), activation="prelu",
-            optimizer=OptimizerConfig("adamw", learning_rate=1e-4, weight_decay=0.1),
-            batch_size=32, target="position_x")
-    if key == "model4":
-        return ModelSpec(
-            name="model4", conv_layers=((32, 3), (64, 3)), pool_layers=((2, 2), (4, 4)),
-            fc_layers=(64, 9, 1), activation="prelu",
-            optimizer=OptimizerConfig("adamw", learning_rate=1e-4, weight_decay=0.1),
-            batch_size=32, target="position_x", aux="barycenter", aux_injection_layer=1)
-    raise CatalogueError(f"unknown preset {preset_id!r}, expected model1..model4")
-
-
-PRESET_IDS = ("model1", "model2", "model3", "model4")
+    if key not in PRESETS:
+        raise CatalogueError(f"unknown preset {preset_id!r}, expected one of {PRESET_IDS}")
+    return ModelSpec(name=key, conv_layers=((32, 3), (64, 3)), **PRESETS[key])
 
 
 # -- search space ------------------------------------------------------------------

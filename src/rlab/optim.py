@@ -219,26 +219,6 @@ _REGISTRY = {
     "nadam": NAdam,
 }
 
-# Learning rates here are tuned for unit-scale objectives, used by the
-# convergence checks and as starting points for hand-rolled experiments.
-_DEFAULT_LR = {
-    "sgd": 0.1,
-    "adam": 0.05,
-    "adamw": 0.05,
-    "adagrad": 0.5,
-    "rmsprop": 0.02,
-    "adadelta": 1.0,
-    "nadam": 0.05,
-}
-
-
-def default_config(kind: str) -> OptimizerConfig:
-    """Per-kind defaults that behave on unit-scale problems."""
-    if kind not in KINDS:
-        raise CatalogueError(f"unknown optimizer kind {kind!r}")
-    epsilon = 1e-6 if kind == "adadelta" else 1e-8
-    return OptimizerConfig(kind=kind, learning_rate=_DEFAULT_LR[kind], epsilon=epsilon)
-
 
 def make_optimizer(params: Sequence[Tensor], cfg: OptimizerConfig) -> Optimizer:
     return _REGISTRY[cfg.kind](params, cfg)

@@ -94,10 +94,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single element, got shape {self.data.shape}")
@@ -110,28 +106,13 @@ class Tensor:
     # -- arithmetic ------------------------------------------------------------
 
     def _coerce(self, other) -> "Tensor":
-        # a python number becomes a constant of self's shape: x + c rounds as x + full(c)
+        # a python number becomes a constant of self's shape: x / c rounds as x.data / c
         if isinstance(other, Tensor):
             if other.data.shape != self.data.shape:     # no broadcasting, size 1 included
                 raise ShapeError(
                     f"elementwise op needs matching shapes, got {self.data.shape} and {other.data.shape}")
             return other
         return Tensor(np.full(self.data.shape, float(other)))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-
-        def vjp(g, a=self, b=other):
-            a._accum(g)
-            b._accum(g)
-        return Tensor._result(self.data + other.data, (self, other), "add", vjp)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        def vjp(g, a=self):
-            a._accum(-g)
-        return Tensor._result(-self.data, (self,), "neg", vjp)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -141,9 +122,6 @@ class Tensor:
             b._accum(-g)
         return Tensor._result(self.data - other.data, (self, other), "sub", vjp)
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
 
@@ -152,30 +130,13 @@ class Tensor:
             b._accum(g * a.data)
         return Tensor._result(self.data * other.data, (self, other), "mul", vjp)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        if not isinstance(other, Tensor):
-            # x * (1/c): true division by c would round differently unless c is a power of two
-            return self * (1.0 / float(other))
         other = self._coerce(other)
 
         def vjp(g, a=self, b=other):
             a._accum(g / b.data)
             b._accum(-g * a.data / (b.data * b.data))
         return Tensor._result(self.data / other.data, (self, other), "div", vjp)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n):
-        if not isinstance(n, (int, float)) or isinstance(n, bool):
-            raise ContractError("exponent must be a python number")
-        n = float(n)
-
-        def vjp(g, a=self):
-            a._accum(g * n * a.data ** (n - 1.0))
-        return Tensor._result(self.data ** n, (self,), "pow", vjp)
 
     # -- reductions and shape ops ----------------------------------------------
 
@@ -241,11 +202,6 @@ def trace(root: Tensor) -> list[Tensor]:
         for p in node._parents:
             stack.append((p, False))
     return nodes
-
-
-def zero_grads(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.grad = None
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -431,53 +387,3 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     return Tensor._result(out, (x, weight, bias), "linear", vjp)
 
-
-# -- gradient oracle ---------------------------------------------------------------
-
-
-def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
-                      h: float = 1e-5, sample_limit: int | None = None,
-                      seed: int = 0) -> float:
-    """Compare autograd against central finite differences.
-
-    loss_fn rebuilds the scalar loss from the current parameter values on
-    every call.  Returns max over checked entries of
-    |g_auto - g_fd| / max(|g_fd|, 1e-8).
-
-    sample_limit caps the entries checked per parameter tensor (deterministic
-    choice per seed); None checks every entry.
-    """
-    if h <= 0.0:
-        raise ContractError("step h must be positive")
-    zero_grads(params)
-    loss = loss_fn()
-    loss.backward()
-    autos = []
-    for i, p in enumerate(params):
-        if not p.requires_grad:
-            raise ContractError(f"parameter {i} does not require grad")
-        autos.append(np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p, ga in zip(params, autos):
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if sample_limit is not None and n > sample_limit:
-            coords = np.sort(rng.choice(n, size=sample_limit, replace=False))
-        else:
-            coords = np.arange(n)
-        ga_flat = ga.reshape(-1)
-        for j in coords:
-            orig = flat[j]
-            flat[j] = orig + h
-            f_plus = loss_fn().item()
-            flat[j] = orig - h
-            f_minus = loss_fn().item()
-            flat[j] = orig
-            g_fd = (f_plus - f_minus) / (2.0 * h)
-            rel = abs(ga_flat[j] - g_fd) / max(abs(g_fd), 1e-8)
-            if rel > worst:
-                worst = rel
-    zero_grads(params)
-    return worst

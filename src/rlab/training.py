@@ -142,11 +142,6 @@ def evaluate(model: Model, clusters: np.ndarray, aux: np.ndarray | None,
     return loss_value(model.spec.target, preds, targets)
 
 
-def evaluate_on(model: Model, ds: Dataset) -> float:
-    clusters, aux, targets = prepare_arrays(model.spec, ds)
-    return evaluate(model, clusters, aux, targets)
-
-
 # -- BLAS threads -------------------------------------------------------------------
 
 # (get, set) thread-count symbols: numpy's and scipy's wheels rename them
@@ -265,16 +260,16 @@ def _loss_node(spec: ModelSpec, model: Model, clusters: np.ndarray,
 
 
 def fit(model: Model, train_arrays, eval_arrays, stop: EarlyStopConfig,
-        shuffle_rng: np.random.Generator, batch_size: int) -> tuple[list[float], bool]:
+        shuffle_rng: np.random.Generator) -> tuple[list[float], bool]:
     """Epoch loop shared by the trainer and the bias-only oracle tests.
 
-    Returns (eval-loss trace, diverged flag).  The final partial batch of an
-    epoch is kept.
+    Returns (eval-loss trace, diverged flag).  Minibatches hold the spec's
+    batch_size events; the final partial batch of an epoch is kept.
     """
     clusters, aux, targets = train_arrays
     e_clusters, e_aux, e_targets = eval_arrays
     opt = make_optimizer(model.parameters(), model.spec.optimizer)
-    n = len(targets)
+    n, batch_size = len(targets), model.spec.batch_size
     trace: list[float] = []
     # blown-up runs are reported through the diverged flag, not as FP warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -320,7 +315,6 @@ def train_instance(spec: ModelSpec, train_set: Dataset, eval_set: Dataset,
             prepare_arrays(spec, eval_set),
             stop,
             substream(init_seed, "shuffle"),
-            spec.batch_size,
         )
     wall = time.perf_counter() - t0
     return TrainedInstance(

@@ -1,0 +1,152 @@
+"""Reference implementations the tests check rlab against.
+
+Nothing in `src/rlab` or perfbench reads these: the gradient oracle, the
+scalar activation catalogue, parameter counts, unit-scale optimizer
+settings, whole-dataset evaluation and a fixed train/test split.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Sequence
+
+import numpy as np
+
+from rlab.calo import Dataset
+from rlab.errors import CatalogueError, ContractError
+from rlab.nn import _INV_SQRT2, ACTIVATIONS, LEAKY_SLOPE, PRELU_INIT, Model, ModelSpec
+from rlab.optim import KINDS, OptimizerConfig
+from rlab.seeding import substream
+from rlab.tensor import Tensor
+from rlab.training import evaluate, prepare_arrays
+
+
+def sq_mean(t: Tensor) -> Tensor:
+    """mean(t * t): a smooth scalar loss over any tensor."""
+    return (t * t).mean()
+
+
+# -- gradient oracle ---------------------------------------------------------------
+
+
+def zero_grads(params: Sequence[Tensor]) -> None:
+    for p in params:
+        p.grad = None
+
+
+def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
+                      h: float = 1e-5, sample_limit: int | None = None,
+                      seed: int = 0) -> float:
+    """Compare autograd against central finite differences.
+
+    loss_fn rebuilds the scalar loss from the current parameter values on
+    every call.  Returns max over checked entries of
+    |g_auto - g_fd| / max(|g_fd|, 1e-8).
+
+    sample_limit caps the entries checked per parameter tensor (deterministic
+    choice per seed); None checks every entry.
+    """
+    if h <= 0.0:
+        raise ContractError("step h must be positive")
+    zero_grads(params)
+    loss = loss_fn()
+    loss.backward()
+    autos = []
+    for i, p in enumerate(params):
+        if not p.requires_grad:
+            raise ContractError(f"parameter {i} does not require grad")
+        autos.append(np.zeros_like(p.data) if p.grad is None else p.grad.copy())
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for p, ga in zip(params, autos):
+        flat = p.data.reshape(-1)
+        n = flat.size
+        if sample_limit is not None and n > sample_limit:
+            coords = np.sort(rng.choice(n, size=sample_limit, replace=False))
+        else:
+            coords = np.arange(n)
+        ga_flat = ga.reshape(-1)
+        for j in coords:
+            orig = flat[j]
+            flat[j] = orig + h
+            f_plus = loss_fn().item()
+            flat[j] = orig - h
+            f_minus = loss_fn().item()
+            flat[j] = orig
+            g_fd = (f_plus - f_minus) / (2.0 * h)
+            rel = abs(ga_flat[j] - g_fd) / max(abs(g_fd), 1e-8)
+            if rel > worst:
+                worst = rel
+    zero_grads(params)
+    return worst
+
+
+# -- models ------------------------------------------------------------------------
+
+
+def activation_value(kind: str, x: float, slope: float = PRELU_INIT) -> float:
+    """Scalar reference evaluation of one catalogue entry."""
+    if kind == "sigmoid":
+        return 1.0 / (1.0 + math.exp(-x))
+    if kind == "tanh":
+        return math.tanh(x)
+    if kind == "relu":
+        return max(0.0, x)
+    if kind == "leaky_relu":
+        return x if x > 0.0 else LEAKY_SLOPE * x
+    if kind == "prelu":
+        return x if x > 0.0 else slope * x
+    if kind == "elu":
+        return x if x > 0.0 else math.exp(x) - 1.0
+    if kind == "gelu":
+        return x * 0.5 * (1.0 + math.erf(x * _INV_SQRT2))
+    raise CatalogueError(f"unknown activation {kind!r}, expected one of {ACTIVATIONS}")
+
+
+def param_count(spec: ModelSpec) -> int:
+    """Trainable scalars: conv kernels, fc weights+biases, learnable slopes."""
+    return sum(p.data.size for p in Model(spec, 0).parameters())
+
+
+# -- optimizers --------------------------------------------------------------------
+
+# Learning rates here are tuned for unit-scale objectives, used by the
+# convergence checks and as starting points for hand-rolled experiments.
+_DEFAULT_LR = {
+    "sgd": 0.1,
+    "adam": 0.05,
+    "adamw": 0.05,
+    "adagrad": 0.5,
+    "rmsprop": 0.02,
+    "adadelta": 1.0,
+    "nadam": 0.05,
+}
+
+
+def default_config(kind: str) -> OptimizerConfig:
+    """Per-kind defaults that behave on unit-scale problems."""
+    if kind not in KINDS:
+        raise CatalogueError(f"unknown optimizer kind {kind!r}")
+    epsilon = 1e-6 if kind == "adadelta" else 1e-8
+    return OptimizerConfig(kind=kind, learning_rate=_DEFAULT_LR[kind], epsilon=epsilon)
+
+
+# -- data --------------------------------------------------------------------------
+
+
+def evaluate_on(model: Model, ds: Dataset) -> float:
+    clusters, aux, targets = prepare_arrays(model.spec, ds)
+    return evaluate(model, clusters, aux, targets)
+
+
+def split_fixed(dataset: Dataset, ratio: float = 0.5, seed: int = 0) -> tuple[Dataset, Dataset]:
+    """Disjoint, exhaustive shuffle-split; half rounds up to the first part."""
+    if not 0.0 < ratio < 1.0:
+        raise ContractError("ratio must be strictly between 0 and 1")
+    n = len(dataset)
+    perm = substream(seed, "split").permutation(n)
+    n_first = int(np.floor(n * ratio + 0.5))
+    if n_first == 0 or n_first == n:
+        raise ContractError(f"split of {n} events at ratio {ratio} leaves one side empty")
+    return dataset.take(perm[:n_first]), dataset.take(perm[n_first:])

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 import yaml
 
+from oracles import default_config, evaluate_on, finite_diff_check, param_count, split_fixed
 from rlab.baselines import baseline_loss, fit_energy_scale, predict_energy
-from rlab.calo import GeneratorConfig, generate_dataset, split_fixed
+from rlab.calo import GeneratorConfig, generate_dataset
 from rlab.cli import main
 from rlab.nn import (
     ACTIVATIONS,
@@ -24,11 +25,10 @@ from rlab.nn import (
     ModelSpec,
     PRESET_IDS,
     enumerate_search_space,
-    param_count,
     preset_spec,
     reference_search_space,
 )
-from rlab.optim import KINDS, OptimizerConfig, default_config, make_optimizer
+from rlab.optim import KINDS, OptimizerConfig, make_optimizer
 from rlab.robustness import (
     BaselineGatePolicy,
     HalvingPolicy,
@@ -37,13 +37,12 @@ from rlab.robustness import (
     run_instances,
     select_models,
 )
-from rlab.tensor import Tensor, finite_diff_check
+from rlab.tensor import Tensor
 from rlab.training import (
     EarlyStopConfig,
     TrainedInstance,
     _loss_node,
     constant_predictor_loss,
-    evaluate_on,
     prepare_arrays,
     should_stop,
 )

@@ -7,8 +7,9 @@ from scipy.stats import spearmanr
 from rlab.calo import (
     CELLS, GRID, GeneratorConfig, bootstrap_sample, cluster_barycenter,
     cluster_energy_sum, generate_dataset, generate_event, load_dataset,
-    sample_size_schedule, save_dataset, split_fixed, subsample,
+    sample_size_schedule, save_dataset, subsample,
 )
+from oracles import split_fixed
 from rlab.errors import ContractError, DatasetFormatError, DegenerateFitError
 from rlab.seeding import substream
 

@@ -293,6 +293,23 @@ class TestDatasetValues:
         assert bad in err and "generator" in err
 
 
+class TestAllZeroCluster:
+    def test_barycenter_spec_on_an_all_zero_cluster_is_a_data_error(self, tmp_path, capsys):
+        # at this resolution the stochastic term zeroes 4 of the 60 clusters, 15 first
+        gen = write_config(tmp_path / "gen.yaml",
+                           {"command": "gen-data", "n": 60, "seed": 3,
+                            "generator": {"resolution_a": 5.0}})
+        assert main(["gen-data", "--config", gen, "--out", str(tmp_path)]) == EXIT_OK
+        events = str(tmp_path / "events.rlab")
+        cfg = write_config(tmp_path / "t.yaml",
+                           {"command": "train", "preset": "model4", "train_data": events,
+                            "test_data": events, "init_seed": 1, "stop": dict(ONE_EPOCH)})
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cluster 15 ") and err.count("\n") == 1, err
+
+
 def robustness_config(train, test, **extra):
     body = {
         "command": "robustness",

@@ -134,10 +134,10 @@ def mutated(config: dict, path: tuple, mutation) -> dict:
     return config
 
 
-def fake_fit(model, train_arrays, eval_arrays, stop, shuffle_rng, batch_size):
+def fake_fit(model, train_arrays, eval_arrays, stop, shuffle_rng):
     """One epoch whose loss depends on the spec only: the property is about
     reading configs, and real training is tested elsewhere."""
-    return [0.1 + model.spec.optimizer.learning_rate + batch_size / 1e4], False
+    return [0.1 + model.spec.optimizer.learning_rate + model.spec.batch_size / 1e4], False
 
 
 @pytest.fixture(scope="module")

@@ -12,14 +12,15 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rlab.nn
+from oracles import activation_value, finite_diff_check, param_count, sq_mean
 from rlab.errors import CatalogueError, ContractError, ShapeError
 from rlab.nn import (
-    ACTIVATIONS, Model, ModelSpec, SearchSpace, activation_value,
-    elu, enumerate_search_space, feature_shapes, gelu, he_init, leaky_relu,
-    param_count, prelu, preset_spec, reference_search_space, relu, sigmoid, tanh,
+    ACTIVATIONS, Model, ModelSpec, SearchSpace, elu, enumerate_search_space,
+    feature_shapes, gelu, he_init, leaky_relu, prelu, preset_spec, reference_search_space,
+    relu, sigmoid, tanh,
 )
 from rlab.optim import OptimizerConfig
-from rlab.tensor import Tensor, concat, conv2d, finite_diff_check, linear, maxpool2d
+from rlab.tensor import Tensor, concat, conv2d, linear, maxpool2d
 
 # Independently recomputed totals for the four reference configurations.
 PRESET_COUNTS = {"model1": 23_923, "model2": 23_932, "model3": 23_644, "model4": 23_662}
@@ -76,21 +77,21 @@ class TestActivationGradients:
     @pytest.mark.parametrize("fn", [sigmoid, tanh, relu, leaky_relu, elu, gelu])
     def test_against_finite_differences(self, fn):
         x = Tensor(np.linspace(-2.1, 2.3, 12), requires_grad=True)
-        err = finite_diff_check(lambda: (fn(x) ** 2).mean(), [x])
+        err = finite_diff_check(lambda: sq_mean(fn(x)), [x])
         assert err < 1e-4
 
     def test_prelu_channel_slopes(self):
         rng = np.random.default_rng(31)
         x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
         slopes = Tensor(np.array([0.25, 0.1, 0.4]), requires_grad=True)
-        err = finite_diff_check(lambda: (prelu(x, slopes) ** 2).mean(), [x, slopes])
+        err = finite_diff_check(lambda: sq_mean(prelu(x, slopes)), [x, slopes])
         assert err < 1e-4
 
     def test_prelu_unit_slopes_on_vectors(self):
         rng = np.random.default_rng(32)
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         slopes = Tensor(np.full(4, 0.25), requires_grad=True)
-        err = finite_diff_check(lambda: (prelu(x, slopes) ** 2).mean(), [x, slopes])
+        err = finite_diff_check(lambda: sq_mean(prelu(x, slopes)), [x, slopes])
         assert err < 1e-4
 
     def test_prelu_slope_count_mismatch(self):
@@ -322,7 +323,7 @@ class TestSpecAccounting:
     @pytest.mark.parametrize("pid", sorted(PRESET_COUNTS))
     def test_built_model_matches_declared_count(self, pid):
         model = Model(preset_spec(pid), init_seed=1)
-        assert sum(p.size for p in model.parameters()) == PRESET_COUNTS[pid]
+        assert sum(p.data.size for p in model.parameters()) == PRESET_COUNTS[pid]
 
     def test_feature_shapes_of_energy_presets(self):
         assert feature_shapes(preset_spec("model1")) == [(32, 6, 6), (64, 3, 3)]
@@ -476,7 +477,7 @@ class TestModelForward:
         model = Model(preset_spec("model2"), 4)
         x = self.batch(6)
         aux = Tensor(np.random.default_rng(2).uniform(10.0, 90.0, (6, 1)))
-        (model.forward(x, aux) ** 2).mean().backward()
+        sq_mean(model.forward(x, aux)).backward()
         aux_col_grad = model.fc_weights[0].grad[:, -1]
         assert np.any(aux_col_grad != 0.0)
 

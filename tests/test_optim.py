@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from rlab.errors import CatalogueError, ContractError, DivergenceError
-from rlab.optim import KINDS, OptimizerConfig, default_config, make_optimizer
+from oracles import default_config
+from rlab.optim import KINDS, OptimizerConfig, make_optimizer
 from rlab.tensor import Tensor
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rlab.training
+from oracles import evaluate_on
 from rlab.calo import GeneratorConfig, generate_dataset
 from rlab.errors import ContractError
 from rlab.nn import Model, ModelSpec, preset_spec, reference_search_space
@@ -25,7 +26,6 @@ from rlab.training import (
     TrainedInstance,
     constant_predictor_loss,
     evaluate,
-    evaluate_on,
     fit,
     loss_value,
     openblas_thread_controls,
@@ -316,7 +316,7 @@ class TestConstantModelOracle:
         _freeze_all_but_last_bias(model)
         arrays = prepare_arrays(spec, train)
         stop = EarlyStopConfig(min_epochs=150, window=10, threshold=1e9, hard_cap=150)
-        trace, diverged = fit(model, arrays, arrays, stop, substream(0, "shuffle"), 32)
+        trace, diverged = fit(model, arrays, arrays, stop, substream(0, "shuffle"))
         assert not diverged
         assert len(trace) == 150
         _, floor = constant_predictor_loss("energy", arrays[2])
@@ -334,7 +334,7 @@ class TestConstantModelOracle:
         _freeze_all_but_last_bias(model)
         arrays = prepare_arrays(spec, train)
         stop = EarlyStopConfig(min_epochs=60, window=10, threshold=1e9, hard_cap=60)
-        trace, diverged = fit(model, arrays, arrays, stop, substream(0, "shuffle"), 96)
+        trace, diverged = fit(model, arrays, arrays, stop, substream(0, "shuffle"))
         assert not diverged
         _, floor = constant_predictor_loss("position_x", arrays[2])
         assert floor - 1e-12 <= trace[-1] <= floor + 1e-3
