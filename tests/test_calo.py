@@ -220,6 +220,25 @@ class TestFileFormat:
         assert back.config == ds.config
         assert back.seed == 40
 
+    # sha256 of save_dataset(generate_dataset(cfg, 40, seed)): pins the generator's
+    # draw order and the file layout together
+    @pytest.mark.parametrize("kind, seed, digest", [
+        ("A", 61, "a1deffe50ffe9bc27982fcab7797816e907249067f8e3d6571cad76c1e9897b6"),
+        ("B", 62, "270a9150dba112d7a3d665f6298aae84a31970690fef8e889d3c4e305225de2e"),
+    ])
+    def test_file_bytes_pinned(self, tmp_path, kind, seed, digest):
+        import hashlib
+        path = tmp_path / "pinned.rlab"
+        save_dataset(generate_dataset(GeneratorConfig(dataset_kind=kind), 40, seed), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cfg", [GeneratorConfig(), KIND_B], ids=["A", "B"])
+    def test_load_then_save_reproduces_the_bytes(self, tmp_path, cfg):
+        first, second = str(tmp_path / "first.rlab"), str(tmp_path / "second.rlab")
+        save_dataset(generate_dataset(cfg, 12, seed=63), first)
+        save_dataset(load_dataset(first), second)
+        assert open(first, "rb").read() == open(second, "rb").read()
+
     def test_file_size_arithmetic(self, tmp_path):
         ds = generate_dataset(GeneratorConfig(), 17, seed=41)
         path = str(tmp_path / "d.rlab")
