@@ -15,7 +15,7 @@ import numpy as np
 
 from .calo import Dataset, cluster_barycenter, cluster_energy_sum
 from .errors import ContractError, DegenerateFitError
-from .training import relative_rmse, rmse_coordinate
+from .training import loss_value
 
 barycenter = cluster_barycenter   # public alias: it is the position baseline
 
@@ -32,8 +32,8 @@ def fit_energy_scale(train: Dataset) -> float:
     return float(np.sum(r) / denom)
 
 
-def predict_energy(scale: float, clusters: np.ndarray) -> np.ndarray | float:
-    """Estimate E as scale * sum(cluster); works on one cluster or a batch."""
+def predict_energy(scale: float, clusters: np.ndarray) -> np.ndarray:
+    """Estimate E as scale * sum(cluster) for each of clusters [N, 15, 15]."""
     return scale * cluster_energy_sum(clusters)
 
 
@@ -49,20 +49,15 @@ class ScurveFit:
 
 
 def _cell_and_fraction(clusters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.asarray(clusters, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None]    # keep one arithmetic path so batch and single agree
-    bx = cluster_barycenter(arr)[:, 0]
+    bx = cluster_barycenter(clusters)[:, 0]
     cell = np.rint(bx)
     return cell, bx - cell     # fraction lands in [-0.5, 0.5]
 
 
-def predict_position(fit: ScurveFit, clusters: np.ndarray) -> np.ndarray | float:
-    """Horizontal impact estimate in cell widths from the grid center."""
-    single = np.asarray(clusters).ndim == 2
+def predict_position(fit: ScurveFit, clusters: np.ndarray) -> np.ndarray:
+    """Horizontal impact estimate in cell widths from the grid center, one per cluster."""
     cell, u = _cell_and_fraction(clusters)
-    out = cell + fit.correct(u)
-    return float(out[0]) if single else out
+    return cell + fit.correct(u)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
@@ -104,9 +99,9 @@ def fit_scurve(train: Dataset, beta_range: tuple[float, float] = (0.1, 50.0)) ->
 def baseline_loss(train: Dataset, test: Dataset, target: str) -> float:
     """Test loss of the fitted classical estimator for the given target."""
     if target == "energy":
-        scale = fit_energy_scale(train)
-        return relative_rmse(predict_energy(scale, test.clusters), test.energy)
-    if target == "position_x":
-        fit = fit_scurve(train)
-        return rmse_coordinate(predict_position(fit, test.clusters), test.x)
-    raise ContractError(f"unknown target {target!r}")
+        pred, truth = predict_energy(fit_energy_scale(train), test.clusters), test.energy
+    elif target == "position_x":
+        pred, truth = predict_position(fit_scurve(train), test.clusters), test.x
+    else:
+        raise ContractError(f"unknown target {target!r}")
+    return loss_value(target, pred, truth)

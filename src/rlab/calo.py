@@ -1,7 +1,9 @@
-"""Synthetic calorimeter events: generation, datasets, splits, and file I/O.
+"""Synthetic calorimeter events: generation, datasets, sampling, and file I/O.
 
-An event is a 15x15 cluster of non-negative cell energies plus its truth
-record (energy, impact point, incidence angles).  Deposition uses a
+An event is one float64 row of 230 values: a 15x15 cluster of non-negative
+cell energies, row-major, then its truth record (energy, impact x and y,
+incidence angles theta_x and theta_y).  The generator, a Dataset and the file
+all hold events in this layout.  Deposition uses a
 two-component radially symmetric exponential profile evaluated at cell
 centers and normalized over the grid, so with the stochastic term switched
 off the cluster sums to exactly containment_fraction * energy.
@@ -28,6 +30,7 @@ from .seeding import substream
 GRID = 15
 CENTER = GRID // 2
 CELLS = GRID * GRID
+_EVENT_WIDTH = CELLS + 5     # cluster row-major, then E, x, y, theta_x, theta_y
 
 # Spectrum decay rate for kind B; puts ~70% of the mass in [1, 20] GeV.
 KIND_B_RATE = 0.0635
@@ -79,16 +82,6 @@ class GeneratorConfig:
         return d
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    cluster: np.ndarray          # [15, 15], non-negative
-    energy: float
-    x: float                     # impact offset from grid center, cell widths
-    y: float
-    theta_x: float               # radians
-    theta_y: float
-
-
 def _profile_weights(sx: float, sy: float, cfg: GeneratorConfig) -> np.ndarray:
     # midpoint evaluation of the lateral density on cell centers, normalized
     dx = _COORDS[None, :] - sx
@@ -99,8 +92,10 @@ def _profile_weights(sx: float, sy: float, cfg: GeneratorConfig) -> np.ndarray:
     return w / w.sum()
 
 
-def generate_event(cfg: GeneratorConfig, rng: np.random.Generator) -> EventRecord:
-    """One event from the given stream.  Draw order is part of the format."""
+def generate_event(cfg: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
+    """One event row from the given stream.  x and y are the impact offset from
+    the grid center in cell widths, the angles are in radians.  Draw order is
+    part of the format."""
     lo, hi = cfg.energy_range
     x = rng.uniform(-0.5, 0.5)
     y = rng.uniform(-0.5, 0.5)
@@ -125,56 +120,35 @@ def generate_event(cfg: GeneratorConfig, rng: np.random.Generator) -> EventRecor
     sigma_rel = np.hypot(cfg.resolution_a / np.sqrt(energy), cfg.noise_b)
     factor = 1.0 + sigma_rel * xi
     cluster = np.maximum(0.0, cfg.containment_fraction * energy * factor * weights)
-    return EventRecord(cluster=cluster, energy=float(energy), x=float(x), y=float(y),
-                       theta_x=float(theta_x), theta_y=float(theta_y))
+    return np.concatenate([cluster.ravel(), [energy, x, y, theta_x, theta_y]])
 
 
 class Dataset:
-    """Ordered event collection stored column-wise for fast math."""
+    """Ordered events, one row of `events` [N, 230] each; `clusters` [N, 15, 15]
+    and the truth columns `energy`, `x`, `y`, `theta_x`, `theta_y` are views."""
 
-    def __init__(self, clusters: np.ndarray, energy: np.ndarray, x: np.ndarray,
-                 y: np.ndarray, theta_x: np.ndarray, theta_y: np.ndarray,
-                 config: GeneratorConfig, seed: int | None = None):
-        n = len(energy)
-        if clusters.shape != (n, GRID, GRID):
-            raise ContractError(f"clusters must be [N,{GRID},{GRID}], got {clusters.shape}")
-        self.clusters = np.asarray(clusters, dtype=np.float64)
-        self.energy = np.asarray(energy, dtype=np.float64)
-        self.x = np.asarray(x, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.float64)
-        self.theta_x = np.asarray(theta_x, dtype=np.float64)
-        self.theta_y = np.asarray(theta_y, dtype=np.float64)
+    def __init__(self, events: np.ndarray, config: GeneratorConfig, seed: int | None = None):
+        self.events = events
+        self.clusters = events[:, :CELLS].reshape(len(events), GRID, GRID)
+        self.energy, self.x, self.y, self.theta_x, self.theta_y = events[:, CELLS:].T
         self.config = config
         self.seed = seed
 
     def __len__(self) -> int:
-        return len(self.energy)
+        return len(self.events)
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.clusters[indices], self.energy[indices], self.x[indices],
-                       self.y[indices], self.theta_x[indices], self.theta_y[indices],
-                       self.config, seed=None)
+        return Dataset(self.events[indices], self.config)
 
 
 def generate_dataset(cfg: GeneratorConfig, n: int, seed: int) -> Dataset:
     """n events under (cfg, seed).  Event i depends only on (seed, i)."""
     if n < 1:
         raise ContractError("n must be >= 1")
-    clusters = np.empty((n, GRID, GRID))
-    energy = np.empty(n)
-    x = np.empty(n)
-    y = np.empty(n)
-    tx = np.empty(n)
-    ty = np.empty(n)
+    events = np.empty((n, _EVENT_WIDTH))
     for i in range(n):
-        ev = generate_event(cfg, substream(seed, "event", i))
-        clusters[i] = ev.cluster
-        energy[i] = ev.energy
-        x[i] = ev.x
-        y[i] = ev.y
-        tx[i] = ev.theta_x
-        ty[i] = ev.theta_y
-    return Dataset(clusters, energy, x, y, tx, ty, cfg, seed=seed)
+        events[i] = generate_event(cfg, substream(seed, "event", i))
+    return Dataset(events, cfg, seed=seed)
 
 
 def bootstrap_sample(pool: Dataset, size: int, seed: int) -> Dataset:
@@ -203,58 +177,37 @@ def sample_size_schedule(i: int) -> int:
 # -- cluster features -----------------------------------------------------------
 
 
-def cluster_energy_sum(clusters: np.ndarray) -> np.ndarray | float:
-    """Total visible energy; scalar for a single cluster, vector for a batch."""
-    arr = np.asarray(clusters, dtype=np.float64)
-    if arr.ndim == 2:
-        return float(arr.sum())
-    return arr.sum(axis=(1, 2))
+def cluster_energy_sum(clusters: np.ndarray) -> np.ndarray:
+    """Total visible energy [N] of clusters [N, 15, 15]."""
+    return clusters.sum(axis=(1, 2))
 
 
 def cluster_barycenter(clusters: np.ndarray) -> np.ndarray:
-    """Energy-weighted mean position, origin at grid center, cell-width units.
+    """Energy-weighted mean position [N, 2] (x, y) of clusters [N, 15, 15],
+    origin at grid center, cell-width units.
 
-    Returns [2] (x, y) for one cluster or [N, 2] for a batch.  All-zero
-    clusters have no barycenter and raise DegenerateFitError naming the first.
+    All-zero clusters have no barycenter and raise DegenerateFitError naming the first.
     """
-    arr = np.asarray(clusters, dtype=np.float64)
-    single = arr.ndim == 2
-    if single:
-        arr = arr[None]
-    total = arr.sum(axis=(1, 2))
+    total = clusters.sum(axis=(1, 2))
     if np.any(total == 0.0):
         raise DegenerateFitError(
             f"cluster {np.argmax(total == 0.0)} is all zero and has no barycenter")
-    bx = (arr.sum(axis=1) @ _COORDS) / total      # sum over rows -> column marginal
-    by = (arr.sum(axis=2) @ _COORDS) / total
-    out = np.stack([bx, by], axis=1)
-    return out[0] if single else out
+    bx = (clusters.sum(axis=1) @ _COORDS) / total      # sum over rows -> column marginal
+    by = (clusters.sum(axis=2) @ _COORDS) / total
+    return np.stack([bx, by], axis=1)
 
 
 # -- file format -------------------------------------------------------------------
 
 MAGIC = b"RLAB"
 FORMAT_VERSION = 1
-_EVENT_WIDTH = CELLS + 5     # cluster row-major, then E, x, y, tx, ty
-
-
-def _event_matrix(dataset: Dataset) -> np.ndarray:
-    n = len(dataset)
-    m = np.empty((n, _EVENT_WIDTH))
-    m[:, :CELLS] = dataset.clusters.reshape(n, CELLS)
-    m[:, CELLS + 0] = dataset.energy
-    m[:, CELLS + 1] = dataset.x
-    m[:, CELLS + 2] = dataset.y
-    m[:, CELLS + 3] = dataset.theta_x
-    m[:, CELLS + 4] = dataset.theta_y
-    return m
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write magic, version, provenance block, count, events, payload CRC."""
     meta = {"generator": dataset.config.to_dict(), "seed": dataset.seed}
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    events = np.ascontiguousarray(_event_matrix(dataset), dtype="<f8").tobytes()
+    events = np.ascontiguousarray(dataset.events, dtype="<f8").tobytes()
     payload = struct.pack("<I", len(blob)) + blob + struct.pack("<Q", len(dataset)) + events
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -305,7 +258,5 @@ def load_dataset(path: str) -> Dataset:
         i = int(np.argmax(bad))
         what = "a non-finite value" if not finite[i] else f"energy {m[i, CELLS]!r}, not above 0"
         raise DatasetFormatError(f"{path}: event {i} holds {what}")
-    return Dataset(m[:, :CELLS].reshape(count, GRID, GRID), m[:, CELLS], m[:, CELLS + 1],
-                   m[:, CELLS + 2], m[:, CELLS + 3], m[:, CELLS + 4], cfg,
-                   seed=meta.get("seed"))
+    return Dataset(m, cfg, seed=meta.get("seed"))
 

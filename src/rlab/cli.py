@@ -24,8 +24,8 @@ import yaml
 
 # bootstrap_sample is not called here; perfbench traces rlab.cli.bootstrap_sample
 from .calo import bootstrap_sample  # noqa: F401
-from .calo import (GeneratorConfig, generate_dataset, load_dataset, sample_size_schedule,
-                   save_dataset)
+from .calo import (GeneratorConfig, cluster_energy_sum, generate_dataset, load_dataset,
+                   sample_size_schedule, save_dataset)
 from .errors import (ConfigError, ContractError, DatasetFormatError, DegenerateFitError,
                      WorkerLostError, require_counts, require_reals, require_seeds,
                      require_strings)
@@ -43,7 +43,7 @@ from .robustness import (
     select_models,
     summary_statistics,
 )
-from .seeding import substream_seed
+from .seeding import substream, substream_seed
 from .training import EarlyStopConfig, train_instance
 
 EXIT_OK = 0
@@ -168,7 +168,9 @@ def cmd_gen_data(out_dir: str, workers: int, *, n: int, seed: int, generator: di
     save_dataset(dataset, path)
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    print(f"wrote {path}: {n} kind-{gen.dataset_kind} events, sha256 {digest}")
+    empty = np.count_nonzero(cluster_energy_sum(dataset.clusters) == 0.0)
+    note = f", {empty} with no visible energy" if empty else ""
+    print(f"wrote {path}: {n} kind-{gen.dataset_kind} events, sha256 {digest}{note}")
     return EXIT_OK
 
 
@@ -257,7 +259,7 @@ def _mock_trainer(workers: int, *, losses: dict, noise: float = 0.0):
         base = table[spec.name]
         if noise == 0.0:
             return base
-        return base + float(np.random.default_rng(seed).normal(0.0, noise))
+        return base + float(substream(seed).normal(0.0, noise))
 
     yield mock_trainer, 1
 

@@ -31,29 +31,20 @@ EVAL_BATCH = 256
 # -- metrics -----------------------------------------------------------------------
 
 
-def relative_rmse(pred: np.ndarray, truth: np.ndarray) -> float:
-    """sqrt(mean(((pred - truth) / truth)^2)); truth must avoid zero."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ContractError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    if np.any(truth == 0.0):
-        raise ContractError("relative error undefined at zero truth")
-    r = pred / truth - 1.0
-    return float(np.sqrt(np.mean(r * r)))
-
-
-def rmse_coordinate(pred: np.ndarray, truth: np.ndarray) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ContractError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    d = pred - truth
-    return float(np.sqrt(np.mean(d * d)))
-
-
 def loss_value(target: str, pred: np.ndarray, truth: np.ndarray) -> float:
-    return relative_rmse(pred, truth) if target == "energy" else rmse_coordinate(pred, truth)
+    """RMS of the error: relative, sqrt(mean(((pred - truth) / truth)^2)), for
+    energy, where truth must avoid zero; absolute for a coordinate."""
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.shape != truth.shape:
+        raise ContractError(f"shape mismatch: {pred.shape} vs {truth.shape}")
+    if target == "energy":
+        if np.any(truth == 0.0):
+            raise ContractError("relative error undefined at zero truth")
+        r = pred / truth - 1.0
+    else:
+        r = pred - truth
+    return float(np.sqrt(np.mean(r * r)))
 
 
 def constant_predictor_loss(target: str, truth: np.ndarray) -> tuple[float, float]:
@@ -66,9 +57,9 @@ def constant_predictor_loss(target: str, truth: np.ndarray) -> tuple[float, floa
     if target == "energy":
         inv = 1.0 / truth
         c = inv.mean() / (inv * inv).mean()
-        return float(c), relative_rmse(np.full_like(truth, c), truth)
-    c = truth.mean()
-    return float(c), rmse_coordinate(np.full_like(truth, c), truth)
+    else:
+        c = truth.mean()
+    return float(c), loss_value(target, np.full_like(truth, c), truth)
 
 
 # -- stop rule ----------------------------------------------------------------------

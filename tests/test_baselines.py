@@ -14,23 +14,18 @@ from rlab.baselines import (
     predict_energy,
     predict_position,
 )
-from rlab.calo import Dataset, GeneratorConfig, cluster_barycenter, generate_dataset
+from rlab.calo import CELLS, Dataset, GeneratorConfig, cluster_barycenter, generate_dataset
 from rlab.errors import ContractError, DegenerateFitError
-from rlab.training import relative_rmse, rmse_coordinate
+from rlab.training import loss_value
 
 
-def make_dataset(clusters, energy, x=None):
+def make_dataset(clusters, energy):
+    """Events holding these clusters and energies, at normal incidence on the grid center."""
     n = len(energy)
-    z = np.zeros(n)
-    return Dataset(
-        clusters=np.asarray(clusters, dtype=np.float64),
-        energy=np.asarray(energy, dtype=np.float64),
-        x=z if x is None else np.asarray(x, dtype=np.float64),
-        y=z.copy(),
-        theta_x=z.copy(),
-        theta_y=z.copy(),
-        config=GeneratorConfig(),
-    )
+    events = np.zeros((n, CELLS + 5))
+    events[:, :CELLS] = np.reshape(clusters, (n, CELLS))
+    events[:, CELLS] = energy
+    return Dataset(events, GeneratorConfig())
 
 
 NOISELESS = GeneratorConfig(resolution_a=0.0, noise_b=0.0)
@@ -78,7 +73,7 @@ class TestEnergyScale:
         c = fit_energy_scale(ds)
 
         def objective(v):
-            return relative_rmse(predict_energy(v, ds.clusters), ds.energy)
+            return loss_value("energy", predict_energy(v, ds.clusters), ds.energy)
 
         res = minimize_scalar(objective, bounds=(0.1, 10.0), method="bounded")
         assert c == pytest.approx(res.x, rel=1e-5)
@@ -155,22 +150,22 @@ class TestScurve:
         train = generate_dataset(GeneratorConfig(), 800, seed=41)
         test = generate_dataset(GeneratorConfig(), 800, seed=42)
         fit = fit_scurve(train)
-        raw = rmse_coordinate(cluster_barycenter(test.clusters)[:, 0], test.x)
-        corrected = rmse_coordinate(predict_position(fit, test.clusters), test.x)
+        raw = loss_value("position_x", cluster_barycenter(test.clusters)[:, 0], test.x)
+        corrected = loss_value("position_x", predict_position(fit, test.clusters), test.x)
         assert corrected < raw
 
     def test_fit_is_deterministic(self):
         ds = generate_dataset(GeneratorConfig(), 200, seed=43)
         assert fit_scurve(ds).beta == fit_scurve(ds).beta
 
-    def test_single_cluster_prediction_is_scalar(self):
+    def test_one_cluster_batch_matches_larger_batch(self):
         ds = generate_dataset(GeneratorConfig(), 5, seed=44)
         fit = fit_scurve(ds)
-        out = predict_position(fit, ds.clusters[0])
-        assert isinstance(out, float)
+        out = predict_position(fit, ds.clusters[:1])
+        assert out.shape == (1,)
         batch = predict_position(fit, ds.clusters)
         # matmul kernels vary with batch shape, so only near-exact agreement holds
-        assert out == pytest.approx(batch[0], rel=1e-12, abs=1e-12)
+        assert out[0] == pytest.approx(batch[0], rel=1e-12, abs=1e-12)
 
     def test_bad_beta_range_rejected(self):
         ds = generate_dataset(GeneratorConfig(), 5, seed=45)

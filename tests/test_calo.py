@@ -107,10 +107,20 @@ class TestDeterminism:
         assert np.array_equal(short.clusters, long.clusters[:5])
 
     def test_single_event_matches_dataset_row(self):
-        ev = generate_event(GeneratorConfig(), substream(13, "event", 3))
+        row = generate_event(GeneratorConfig(), substream(13, "event", 3))
         ds = generate_dataset(GeneratorConfig(), 5, seed=13)
-        assert np.array_equal(ev.cluster, ds.clusters[3])
-        assert ev.energy == ds.energy[3]
+        assert np.array_equal(row, ds.events[3])
+        assert np.array_equal(row[:CELLS], ds.clusters[3].ravel())
+        assert row[CELLS] == ds.energy[3]
+
+    def test_clusters_and_truth_are_views_of_the_event_rows(self):
+        ds = generate_dataset(KIND_B, 6, seed=14)
+        columns = (ds.energy, ds.x, ds.y, ds.theta_x, ds.theta_y)
+        for k, column in enumerate(columns):
+            assert np.shares_memory(column, ds.events)
+            assert np.array_equal(column, ds.events[:, CELLS + k])
+        ds.clusters[2, 3, 4] = -1.0
+        assert ds.events[2, 3 * GRID + 4] == -1.0
 
 
 class TestSampling:
@@ -179,28 +189,27 @@ class TestSampleSizeSchedule:
 
 
 class TestClusterFeatures:
-    def test_energy_sum_scalar_and_batch(self):
+    def test_energy_sum_per_cluster(self):
         one = np.full((GRID, GRID), 2.0)
-        assert cluster_energy_sum(one) == pytest.approx(2.0 * CELLS)
         batch = np.stack([one, 0.5 * one])
         np.testing.assert_allclose(cluster_energy_sum(batch), [450.0, 225.0])
 
     def test_barycenter_single_cell(self):
         c = np.zeros((GRID, GRID))
         c[7, 9] = 5.0
-        np.testing.assert_allclose(cluster_barycenter(c), [2.0, 0.0])
+        np.testing.assert_allclose(cluster_barycenter(c[None]), [[2.0, 0.0]])
         c2 = np.zeros((GRID, GRID))
         c2[4, 7] = 1.0
-        np.testing.assert_allclose(cluster_barycenter(c2), [0.0, -3.0])
+        np.testing.assert_allclose(cluster_barycenter(c2[None]), [[0.0, -3.0]])
 
     def test_barycenter_symmetric_cluster_centered(self):
         c = np.zeros((GRID, GRID))
         c[7, 6] = c[7, 8] = c[6, 7] = c[8, 7] = 1.0
-        np.testing.assert_allclose(cluster_barycenter(c), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(cluster_barycenter(c[None]), [[0.0, 0.0]], atol=1e-15)
 
     def test_barycenter_all_zero_rejected(self):
         with pytest.raises(DegenerateFitError):
-            cluster_barycenter(np.zeros((GRID, GRID)))
+            cluster_barycenter(np.zeros((1, GRID, GRID)))
 
     def test_barycenter_batch_shape(self):
         ds = generate_dataset(GeneratorConfig(), 10, seed=30)

@@ -133,7 +133,8 @@ class TestGenData:
                            {"command": "gen-data", "n": 50, "seed": 7})
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["gen-data", "--config", cfg, "--out", str(out_a)]) == EXIT_OK
-        assert "sha256" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "sha256" in out and "visible energy" not in out
         assert main(["gen-data", "--config", cfg, "--out", str(out_b)]) == EXIT_OK
         assert (out_a / "events.rlab").read_bytes() == (out_b / "events.rlab").read_bytes()
 
@@ -150,6 +151,16 @@ class TestGenData:
         )
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         assert load_dataset(str(tmp_path / "b.rlab")).config.dataset_kind == "B"
+
+    def test_reports_clusters_with_no_visible_energy(self, tmp_path, capsys):
+        # at this resolution the stochastic term zeroes events 15, 18, 51 and 59
+        cfg = write_config(tmp_path / "g.yaml",
+                           {"command": "gen-data", "n": 60, "seed": 3,
+                            "generator": {"resolution_a": 5.0}})
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("wrote ") and out.count("\n") == 1, out
+        assert out.endswith(", 4 with no visible energy\n"), out
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path / "g.yaml",

@@ -46,8 +46,8 @@ def test_module_uses_its_imports(path):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "seeding"],
                          ids=lambda p: p.stem)
 def test_seeds_are_derived_in_seeding_only(path):
-    assert "SeedSequence(" not in path.read_text(), (
-        f"{path.name} builds a SeedSequence; derive seeds through rlab.seeding")
+    calls = [call for call in ("SeedSequence(", "default_rng(") if call in path.read_text()]
+    assert calls == [], f"{path.name} calls {calls}; derive seeds through rlab.seeding"
 
 
 # modules whose names may wait for a caller: ROADMAP direction 6 gives

@@ -30,8 +30,6 @@ from rlab.training import (
     loss_value,
     openblas_thread_controls,
     prepare_arrays,
-    relative_rmse,
-    rmse_coordinate,
     should_stop,
     train_instance,
 )
@@ -55,33 +53,27 @@ def tiny_spec(target="energy", optimizer=None, batch_size=32, aux="none"):
 class TestMetrics:
     def test_relative_rmse_hand_value(self):
         # ratios 1.5 and 2.0 give squared relative errors 0.25 and 1.0
-        got = relative_rmse(np.array([1.5, 8.0]), np.array([1.0, 4.0]))
+        got = loss_value("energy", np.array([1.5, 8.0]), np.array([1.0, 4.0]))
         assert got == pytest.approx(0.7905694150420949, abs=1e-15)
 
     def test_rmse_hand_value(self):
-        got = rmse_coordinate(np.array([3.0, -4.0]), np.array([0.0, 0.0]))
+        got = loss_value("position_x", np.array([3.0, -4.0]), np.array([0.0, 0.0]))
         assert got == pytest.approx(math.sqrt(12.5), abs=1e-15)
 
     def test_perfect_prediction_is_zero(self):
         t = np.array([2.0, 5.0, 9.0])
-        assert relative_rmse(t, t) == 0.0
-        assert rmse_coordinate(t, t) == 0.0
+        assert loss_value("energy", t, t) == 0.0
+        assert loss_value("position_x", t, t) == 0.0
 
     def test_zero_truth_rejected(self):
         with pytest.raises(ContractError):
-            relative_rmse(np.array([1.0]), np.array([0.0]))
+            loss_value("energy", np.array([1.0]), np.array([0.0]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
-            relative_rmse(np.ones(3), np.ones(4))
+            loss_value("energy", np.ones(3), np.ones(4))
         with pytest.raises(ContractError):
-            rmse_coordinate(np.ones(3), np.ones(4))
-
-    def test_loss_value_dispatch(self):
-        pred = np.array([2.0, 4.0])
-        truth = np.array([1.0, 5.0])
-        assert loss_value("energy", pred, truth) == relative_rmse(pred, truth)
-        assert loss_value("position_x", pred, truth) == rmse_coordinate(pred, truth)
+            loss_value("position_x", np.ones(3), np.ones(4))
 
     @given(
         st.lists(st.floats(0.5, 100.0), min_size=2, max_size=20),
@@ -90,7 +82,7 @@ class TestMetrics:
     def test_relative_loss_scale_invariant(self, truth, k):
         t = np.array(truth)
         p = t * 1.3
-        assert relative_rmse(k * p, k * t) == pytest.approx(relative_rmse(p, t), rel=1e-9)
+        assert loss_value("energy", k * p, k * t) == pytest.approx(loss_value("energy", p, t), rel=1e-9)
 
     @given(
         st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=20),
@@ -99,7 +91,7 @@ class TestMetrics:
     def test_absolute_loss_shift_invariant(self, truth, c):
         t = np.array(truth)
         p = t + 2.0
-        assert rmse_coordinate(p + c, t + c) == pytest.approx(rmse_coordinate(p, t), abs=1e-9)
+        assert loss_value("position_x", p + c, t + c) == pytest.approx(loss_value("position_x", p, t), abs=1e-9)
 
 
 class TestConstantPredictor:
@@ -122,7 +114,7 @@ class TestConstantPredictor:
         t = rng.uniform(1.0, 100.0, size=400)
         c, loss = constant_predictor_loss("energy", t)
         res = minimize_scalar(
-            lambda v: relative_rmse(np.full_like(t, v), t), bounds=(0.1, 200.0), method="bounded"
+            lambda v: loss_value("energy", np.full_like(t, v), t), bounds=(0.1, 200.0), method="bounded"
         )
         assert c == pytest.approx(res.x, rel=1e-5)
         assert loss == pytest.approx(res.fun, rel=1e-9)
@@ -133,7 +125,7 @@ class TestConstantPredictor:
         t = rng.uniform(-5.0, 5.0, size=200)
         c, loss = constant_predictor_loss("position_x", t)
         for bump in (1e-3, -1e-3):
-            assert rmse_coordinate(np.full_like(t, c + bump), t) >= loss
+            assert loss_value("position_x", np.full_like(t, c + bump), t) >= loss
 
 
 class TestStopRule:
