@@ -211,6 +211,15 @@ class TestClusterFeatures:
         with pytest.raises(DegenerateFitError):
             cluster_barycenter(np.zeros((1, GRID, GRID)))
 
+    @pytest.mark.parametrize("n", [1, 7, 300, 2049])
+    def test_event_row_views_give_the_bits_of_contiguous_clusters(self, n):
+        # clusters are strided views of the event rows; training pins their sums' bits
+        ds = generate_dataset(GeneratorConfig(), n, seed=31)
+        dense = np.ascontiguousarray(ds.clusters)
+        assert np.shares_memory(ds.clusters, ds.events)
+        assert np.array_equal(cluster_energy_sum(ds.clusters), cluster_energy_sum(dense))
+        assert np.array_equal(cluster_barycenter(ds.clusters), cluster_barycenter(dense))
+
     def test_barycenter_batch_shape(self):
         ds = generate_dataset(GeneratorConfig(), 10, seed=30)
         out = cluster_barycenter(ds.clusters)
