@@ -542,3 +542,36 @@ class TestTrainingBitsPinned:
         train, test = chunk_sets
         assert len(train) % spec.batch_size and EVAL_BATCH < len(test) < 2 * EVAL_BATCH
         assert _trace_digest(spec, chunk_sets) == expected
+
+
+def _gradient_digest(preset, batch, pin_sets, init_seed=7):
+    spec = preset_spec(preset)
+    model = Model(spec, init_seed)
+    clusters, aux, targets = prepare_arrays(spec, pin_sets[0])
+    idx = substream(init_seed, "shuffle").permutation(len(targets))[:batch]
+    with rlab.training._one_blas_thread:
+        rlab.training._loss_node(spec, model, clusters, aux, targets, idx).backward()
+    return hashlib.sha256(b"".join(p.grad.tobytes() for p in model.parameters())).hexdigest()
+
+
+class TestGradientBitsPinned:
+    """sha256 of every parameter's gradient after one forward and backward
+    pass.  The loss-trace pins cannot see a slope gradient's last bits, which
+    the optimizer step absorbs; these can."""
+
+    @pytest.mark.parametrize("preset, batch, expected", [
+        ("model3", 16,
+         "28814e630df1da7bfff4913c18eda427de1ef2ce1ef3b81901e745936ad69702"),
+        ("model3", 128,
+         "95f7a7e99132767774e0936f0c38202bba20017e583dcd1414a808c5857b0b0c"),
+        ("model3", 37,
+         "8b79056a84ab791caa4a2bd1a355669c66e861539b2b6c9d4592cde319c857ec"),
+        ("model4", 16,
+         "41a2966b6db9584d43a81f472c81e12d9d8e3a26c51ddb402dd43dbdbb17d1fd"),
+        ("model4", 128,
+         "09877027800cf24b21d5a6d95371d0b36912cb113032b4e27d7a6e3a4b61ef24"),
+        ("model4", 37,
+         "7d776ea8b8ab7faeb2f839eae6a1f46b284bbec5ae52c850ab53cea7501b629f"),
+    ])
+    def test_prelu_presets(self, pin_sets, preset, batch, expected):
+        assert _gradient_digest(preset, batch, pin_sets) == expected
