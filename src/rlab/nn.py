@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CatalogueError, ContractError, ShapeError, require_counts, require_strings
 from .optim import OptimizerConfig
 from .seeding import substream
-from .tensor import Tensor, concat, conv2d, linear, maxpool2d
+from .tensor import Tensor, _records, concat, conv2d, linear, maxpool2d
 
 INPUT_SHAPE = (1, 15, 15)
 
@@ -124,19 +124,28 @@ sigmoid, tanh, relu, leaky_relu, elu, gelu = (
     _elementwise(kind) for kind in ("sigmoid", "tanh", "relu", "leaky_relu", "elu", "gelu"))
 
 
-def _relu_pool(x: Tensor, window: int, stride: int) -> Tensor:
-    """maxpool2d(relu(x), window, stride), computed on the pooled map.
+def _rectifier_pool(x: Tensor, window: int, stride: int, slopes: Tensor | None = None) -> Tensor:
+    """maxpool2d(act(x), window, stride) for act relu, or prelu with these
+    slopes, computed on the pooled map where that keeps every bit.
 
-    Relu is monotone and maps -0.0 to 0.0, so relu(max(w)) has the bits of
-    max(relu(w)) for each window w that holds no NaN.  The gradient then
-    reaches the same element, or is a signed zero either way, and _accum
-    drops the sign.  Relu maps a NaN to 0.0, so when a window holds one the
-    stage is computed again with the pool after the activation.
+    Both are monotone: act(max(w)) has the bits of max(act(w)) for each window
+    w, and the gradient reaches the same element or a signed zero _accum drops.
+    - relu maps a NaN to 0.0, so when a window holds one the stage is
+      computed again with the pool after the activation.
+    - prelu is monotone for slopes in (0, 1] only; its backward is the
+      defined order's, run on x through the pool's recorded winners.  Other
+      slopes, or slopes that record a graph where x does not, keep that order.
+      Two values of a window that tie after prelu but not before (a product
+      with the slope rounds): it takes the larger, not the first.
     """
-    pooled = maxpool2d(x, window, stride)
-    if np.isnan(np.max(pooled.data)):    # a window's output is NaN iff it reads one
-        return maxpool2d(relu(x), window, stride)
-    return relu(pooled)     # the module global: a tracer's rebinding sees the call
+    if slopes is None:
+        pooled = maxpool2d(x, window, stride)
+        if np.isnan(np.max(pooled.data)):    # a window's output is NaN iff it reads one
+            return maxpool2d(relu(x), window, stride)
+        return relu(pooled)     # the module globals: a tracer's rebinding sees the calls
+    if _unit_slopes(slopes.data) and (x.requires_grad or not _records(slopes)):
+        return prelu(maxpool2d(x, window, stride), slopes, True)
+    return maxpool2d(prelu(x, slopes), window, stride)
 
 
 def _slope_broadcast(xshape: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -146,8 +155,10 @@ def _slope_broadcast(xshape: tuple[int, ...], n: int) -> tuple[int, ...]:
     return (1, n) + (1,) * (len(xshape) - 2)
 
 
-def prelu(x: Tensor, slopes: Tensor) -> Tensor:
-    """Parametric rectifier: one learnable slope per channel (conv) or unit (fc)."""
+def prelu(x: Tensor, slopes: Tensor, pooled: bool = False) -> Tensor:
+    """Parametric rectifier: one learnable slope per channel (conv) or unit (fc).
+
+    pooled: x is a recorded maxpool2d(input); maxpool2d(prelu(input))'s backward runs."""
     if slopes.data.ndim != 1:
         raise ShapeError("slopes must be a vector")
     bshape = _slope_broadcast(x.data.shape, slopes.data.size)
@@ -159,6 +170,12 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     out = _leaky(x.data, a, unit)
 
     def vjp(g, x=x, slopes=slopes, a=a, unit=unit, bshape=bshape):
+        if pooled:      # the pool's vjp gives g to a stand-in for its input x
+            sink = Tensor(x._parents[0].data, requires_grad=True)
+            x._vjp(g, x=sink)
+            g, x = sink.grad, x._parents[0]
+            a = np.empty_like(x.data[:1])
+            a[...] = slopes.data.reshape(bshape)
         xd, buf = x.data, None
         if slopes.requires_grad:
             # np.minimum(x, 0.0) is np.where(x > 0.0, 0.0, x) up to the sign
@@ -398,8 +415,8 @@ class Model:
         for kern, slope, (window, stride) in zip(self.conv_kernels, self.conv_slopes,
                                                  self.spec.pool_layers):
             x = conv2d(x, kern)
-            if self.spec.activation == "relu":
-                x = _relu_pool(x, window, stride)
+            if self.spec.activation in ("relu", "prelu"):
+                x = _rectifier_pool(x, window, stride, slope)
             else:
                 x = maxpool2d(self._activate(x, slope), window, stride)
         x = x.reshape(n, self._flat_width)

@@ -8,7 +8,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rlab.nn
@@ -232,7 +232,7 @@ class TestReluPoolOracle:
     @given(case=relu_pool_cases())
     def test_bitwise_equal_to_pooling_after_relu(self, case):
         x, window, stride, g = case
-        got = stage_vjp(lambda t: rlab.nn._relu_pool(t, window, stride), x, g)
+        got = stage_vjp(lambda t: rlab.nn._rectifier_pool(t, window, stride), x, g)
         want = stage_vjp(lambda t: maxpool2d(relu(t), window, stride), x, g)
         assert [bits(v) for v in got] == [bits(v) for v in want]
 
@@ -247,11 +247,97 @@ class TestReluPoolOracle:
             return maxpool2d(*args)
 
         monkeypatch.setattr(rlab.nn, "maxpool2d", counting)
-        got = stage_vjp(lambda t: rlab.nn._relu_pool(t, 2, 2), x, g)
+        got = stage_vjp(lambda t: rlab.nn._rectifier_pool(t, 2, 2), x, g)
         assert calls == [(2, 2), (2, 2)]        # pooled, found the NaN, pooled again
         want = stage_vjp(lambda t: maxpool2d(relu(t), 2, 2), x, g)
         assert [bits(v) for v in got] == [bits(v) for v in want]
         assert got[0].item() == 3.0
+
+
+
+@st.composite
+def prelu_pool_cases(draw):
+    """(x, slopes, window, stride, g): relu_pool_cases' maps and windows,
+    slopes inside and outside (0, 1], and non-finite output gradients."""
+    x, window, stride, _ = draw(relu_pool_cases())
+    g_shape = x.shape[:2] + ((x.shape[2] - window) // stride + 1,
+                             (x.shape[3] - window) // stride + 1)
+    g = draw(arrays(np.float64, g_shape, elements=_GRADS))
+    return x, draw(arrays(np.float64, (x.shape[1],), elements=_SLOPES)), window, stride, g
+
+
+def product_tie(x, a, window, stride):
+    """Whether some window's largest prelu values come from different values
+    of x: the products with the slope round to the same double."""
+    with np.errstate(all="ignore"):
+        y = np.where(x > 0.0, x, a.reshape(1, -1, 1, 1) * x)
+    for i in range(0, x.shape[2] - window + 1, stride):
+        for j in range(0, x.shape[3] - window + 1, stride):
+            xs = x[:, :, i:i + window, j:j + window].reshape(-1, window * window)
+            ys = y[:, :, i:i + window, j:j + window].reshape(-1, window * window)
+            for xw, yw in zip(xs, ys):
+                top = xw[yw == yw.max()]     # empty when yw holds a NaN
+                if top.size and top.min() < top.max():
+                    return True
+    return False
+
+
+def prelu_stage_vjp(stage, x, a, g):
+    """(value, input gradient, slope gradient) of stage at x for output gradient g."""
+    t, s = Tensor(x, requires_grad=True), Tensor(a, requires_grad=True)
+    with np.errstate(all="ignore"):
+        out = stage(t, s)
+        (out * Tensor(g)).sum().backward()
+    return out.data, t.grad, s.grad
+
+
+class TestPreluPoolOracle:
+    """A prelu conv stage pools before the activation when its slopes lie in
+    (0, 1]: the value, input gradient and slope gradient bits of the defined
+    order, pooling after prelu, with windows disjoint or overlapping."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=prelu_pool_cases())
+    def test_bitwise_equal_to_pooling_after_prelu(self, case):
+        x, a, window, stride, g = case
+        assume(not product_tie(x, a, window, stride))
+        got = prelu_stage_vjp(lambda t, s: rlab.nn._rectifier_pool(t, window, stride, s),
+                              x, a, g)
+        want = prelu_stage_vjp(lambda t, s: maxpool2d(prelu(t, s), window, stride), x, a, g)
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    def test_product_tie_takes_the_larger_value(self):
+        # 0.25 times either subnormal rounds to -0.0, which ties with -0.0 and
+        # with 0.0: after prelu each window ties, and the defined order takes
+        # the first cell, the pooled order the larger value
+        x = np.array([[[[-1e-323, -5e-324, -5e-324, 0.0], [-1.0, -2.0, -1.0, -2.0]]]])
+        a, g = np.array([0.25]), np.array([[[[3.0, 3.0]]]])
+        assert product_tie(x, a, 2, 2)
+        value, dx, da = prelu_stage_vjp(
+            lambda t, s: rlab.nn._rectifier_pool(t, 2, 2, s), x, a, g)
+        want = prelu_stage_vjp(lambda t, s: maxpool2d(prelu(t, s), 2, 2), x, a, g)
+        assert bits(value) == bits(np.array([[[[-0.0, 0.0]]]]))
+        assert bits(want[0]) == bits(np.array([[[[-0.0, -0.0]]]]))
+        assert bits(dx) == bits(np.array([[[[0.0, 0.75, 0.0, 0.75], [0.0, 0.0, 0.0, 0.0]]]]))
+        assert bits(want[1]) == bits(np.array([[[[0.75, 0.0, 0.75, 0.0], [0.0] * 4]]]))
+        assert bits(da) == bits(np.array([3.0 * -5e-324 + 3.0 * 0.0]))
+        assert bits(want[2]) == bits(np.array([3.0 * -1e-323 + 3.0 * -5e-324]))
+
+    @pytest.mark.parametrize("slope, records", [(1.5, True), (0.0, True), (np.nan, True),
+                                                 (-0.25, False), (0.5, False)])
+    def test_other_stages_take_the_defined_order(self, monkeypatch, slope, records):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].data.shape)
+            return prelu(*args)
+
+        monkeypatch.setattr(rlab.nn, "prelu", counting)
+        x = np.arange(-12.0, 13.0).reshape(1, 1, 5, 5)
+        # x records no graph; slopes that do need its pool's winners
+        rlab.nn._rectifier_pool(Tensor(x, records), 2, 1, Tensor(np.array([slope]), True))
+        rlab.nn._rectifier_pool(Tensor(x, True), 2, 1, Tensor(np.array([0.25]), True))
+        assert calls == [(1, 1, 5, 5), (1, 1, 4, 4)]
 
 
 def old_order_forward(model, x, aux):
