@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -103,9 +104,20 @@ def _kind_block(table: dict, d, name: str, *args, default: str | None = None):
     return _block(table[kind], d, name, *args)
 
 
-def _datasets(train_data: str, test_data: str):
+def _datasets(train_data: str, test_data: str, spec: ModelSpec | None = None):
     require_strings(train_data=train_data, test_data=test_data)
-    return load_dataset(train_data), load_dataset(test_data)
+    sets = load_dataset(train_data), load_dataset(test_data)
+    _check_barycenters(spec, zip((train_data, test_data), sets))
+    return sets
+
+
+def _check_barycenters(spec: ModelSpec | None, files) -> None:
+    """A barycenter spec's (path, dataset) files hold no all-zero cluster."""
+    for path, ds in files if spec is not None and spec.aux == "barycenter" else ():
+        empty = np.flatnonzero(cluster_energy_sum(ds.clusters) == 0.0)
+        if empty.size:
+            raise DatasetFormatError(
+                f"{path}: event {empty[0]} is all zero and has no barycenter")
 
 
 def _spec_from(preset: str | None, spec: dict | None) -> ModelSpec:
@@ -179,7 +191,7 @@ def cmd_train(out_dir: str, workers: int, *, train_data: str, test_data: str, in
     require_seeds(init_seed=init_seed)
     spec = _spec_from(preset, spec)
     stop = _block(EarlyStopConfig, stop, "stop")
-    train_set, test_set = _datasets(train_data, test_data)
+    train_set, test_set = _datasets(train_data, test_data, spec)
     inst = train_instance(spec, train_set, test_set, init_seed, stop=stop)
     _write_json(os.path.join(out_dir, "instance.json"), inst.to_record())
     _write_csv(
@@ -198,7 +210,7 @@ def cmd_robustness(out_dir: str, workers: int, *, train_data: str, test_data: st
                    sample_size: int | None = None, stop: dict = {}) -> int:
     spec = _spec_from(preset, spec)
     stop = _block(EarlyStopConfig, stop, "stop")
-    pool, test_set = _datasets(train_data, test_data)
+    pool, test_set = _datasets(train_data, test_data, spec)
     record = run_instances(spec, k=k, pool=pool, test_set=test_set, mode=mode,
                            base_seed=base_seed, sample_size=sample_size, stop=stop,
                            workers=workers)
@@ -266,8 +278,11 @@ def _mock_trainer(workers: int, *, losses: dict, noise: float = 0.0):
 
 @contextlib.contextmanager
 def _command_trainer(workers: int, *, argv: list, timeout: float | None = None):
-    """Runs an external command per training, side by side; timeout: seconds per call."""
+    """Runs an external command per training, side by side; timeout: seconds per call.
+    Each runs in a session of its own, killed whole when the call times out or
+    fails, and a Ctrl-C, which reaches rlab's group alone, is passed on to it."""
     argv = [str(a) for a in argv]
+    running: set[int] = set()       # the trainers' session ids
     if timeout is not None:
         require_reals(timeout=timeout)
         if not 0 < timeout < math.inf:
@@ -280,25 +295,42 @@ def _command_trainer(workers: int, *, argv: list, timeout: float | None = None):
                    RLAB_SPEC_NAME=spec.name,
                    RLAB_ROUND=str(round_index),
                    RLAB_SEED=str(seed))
-        try:
-            proc = subprocess.run(argv, input=json.dumps(spec.to_dict()),
-                                  capture_output=True, text=True, env=env, timeout=timeout)
-        except subprocess.TimeoutExpired:
-            raise DatasetFormatError(f"external trainer for spec {spec.name!r} ran past "
-                                     f"its {timeout!r} s timeout and was killed") from None
+        with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env,
+                              start_new_session=True) as proc:
+            running.add(proc.pid)
+            try:
+                stdout, stderr = proc.communicate(json.dumps(spec.to_dict()), timeout)
+            except subprocess.TimeoutExpired:
+                raise DatasetFormatError(f"external trainer for spec {spec.name!r} ran past "
+                                         f"its {timeout!r} s timeout and was killed") from None
+            finally:    # the timeout, Ctrl-C or any other error: stop the whole session
+                running.discard(proc.pid)
+                if proc.returncode is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
         if proc.returncode != 0:
             raise DatasetFormatError(f"external trainer exited {proc.returncode} for spec "
-                                     f"{spec.name!r}; stderr: {proc.stderr[-500:]!r}")
+                                     f"{spec.name!r}; stderr: {stderr[-500:]!r}")
         try:
-            loss = float(proc.stdout.strip().splitlines()[-1])
+            loss = float(stdout.strip().splitlines()[-1])
         except (ValueError, IndexError):
             loss = math.nan
         if math.isnan(loss) or loss == -math.inf:     # +inf is a diverged instance
             raise DatasetFormatError(f"external trainer printed no loss for spec "
-                                     f"{spec.name!r}: {proc.stdout!r}")
+                                     f"{spec.name!r}: {stdout!r}")
         return loss
 
-    yield command_trainer, workers
+    def interrupt(signum, frame):
+        for session in tuple(running):
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(session, signum)
+        signal.default_int_handler(signum, frame)
+
+    previous = signal.signal(signal.SIGINT, interrupt)
+    try:
+        yield command_trainer, workers
+    finally:
+        signal.signal(signal.SIGINT, previous)
 
 
 @contextlib.contextmanager
@@ -312,6 +344,7 @@ def _instances_trainer(workers: int, *, train_data: str, test_data: str,
 
     with InstanceRunner(pool, test_set, workers) as runner:
         def instance_trainer(spec, round_index, seed):
+            _check_barycenters(spec, ((train_data, pool), (test_data, test_set)))
             task = (spec, size, substream_seed(seed, "data"), substream_seed(seed, "init"),
                     stop)
             return runner.train([task])[0].final_test_loss
@@ -370,7 +403,7 @@ def cmd_sweep(out_dir: str, workers: int, *, train_data: str, test_data: str, k:
         sizes = [sample_size_schedule(i) for i in indices]
     if not sizes:
         raise ConfigError(f"'{'indices' if indices is not None else 'sizes'}' lists no sample size")
-    train_pool, test_pool = _datasets(train_data, test_data)
+    train_pool, test_pool = _datasets(train_data, test_data, spec)
     rows = sample_size_sweep(spec, sizes=sizes, k=k, train_pool=train_pool,
                              test_pool=test_pool, base_seed=base_seed, stop=stop,
                              workers=workers)

@@ -9,6 +9,7 @@ import signal
 import struct
 import subprocess
 import sys
+import time
 import zlib
 
 import numpy as np
@@ -58,6 +59,19 @@ def rlab_env():
     src = os.path.dirname(os.path.dirname(rlab.__file__))
     return dict(os.environ,
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def sleeping(seconds: str) -> set[int]:
+    """Pids of the running `sleep <seconds>` processes."""
+    pids = set()
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                if fh.read().split(b"\0")[:2] == [b"sleep", seconds.encode()]:
+                    pids.add(int(entry))
+        except (OSError, ValueError):     # not a pid, or gone meanwhile
+            pass
+    return pids
 
 
 @pytest.fixture(scope="module")
@@ -305,20 +319,46 @@ class TestDatasetValues:
 
 
 class TestAllZeroCluster:
-    def test_barycenter_spec_on_an_all_zero_cluster_is_a_data_error(self, tmp_path, capsys):
+    @pytest.fixture
+    def events(self, tmp_path):
         # at this resolution the stochastic term zeroes 4 of the 60 clusters, 15 first
         gen = write_config(tmp_path / "gen.yaml",
                            {"command": "gen-data", "n": 60, "seed": 3,
                             "generator": {"resolution_a": 5.0}})
         assert main(["gen-data", "--config", gen, "--out", str(tmp_path)]) == EXIT_OK
-        events = str(tmp_path / "events.rlab")
+        return str(tmp_path / "events.rlab")
+
+    def test_barycenter_spec_on_an_all_zero_cluster_is_a_data_error(self, tmp_path, capsys,
+                                                                      events):
         cfg = write_config(tmp_path / "t.yaml",
                            {"command": "train", "preset": "model4", "train_data": events,
                             "test_data": events, "init_seed": 1, "stop": dict(ONE_EPOCH)})
         capsys.readouterr()
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("data error: cluster 15 ") and err.count("\n") == 1, err
+        assert err == f"data error: {events}: event 15 is all zero and has no barycenter\n"
+
+    @pytest.mark.parametrize("command", ["train", "robustness", "sweep", "select"])
+    def test_every_command_names_the_file_and_event(self, tmp_path, capsys, data_files,
+                                                    events, command):
+        # the index counts within the file, not within a bootstrap draw
+        files = {"train_data": data_files[0], "test_data": events}
+        model4 = preset_spec("model4").to_dict()
+        body = {
+            "train": dict(preset="model4", init_seed=1, **files),
+            "robustness": dict(preset="model4", k=2, sample_size=40, **files),
+            "sweep": dict(preset="model4", k=2, sizes=[40], **files),
+            "select": dict(k=2, specs=[dict(model4, name="a"), dict(model4, name="b")],
+                           trainer=dict(kind="instances", sample_size=40,
+                                        stop=dict(ONE_EPOCH), **files)),
+        }[command]
+        if command != "select":
+            body["stop"] = dict(ONE_EPOCH)
+        cfg = write_config(tmp_path / "c.yaml", dict(command=command, **body))
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {events}: event 15 is all zero and has no barycenter\n"
 
 
 def robustness_config(train, test, **extra):
@@ -647,6 +687,61 @@ class TestSelect:
         assert err.startswith("data error:") and err.count("\n") == 1, err
         assert "'B'" in err and "timeout" in err
         assert not (tmp_path / "out" / "ledger.json").exists()
+
+    def test_command_trainer_timeout_stops_the_trainers_children(self, tmp_path, capsys):
+        # sh runs sleep as its child: stopping sh alone would leave sleep running.
+        # At one worker the first spec's timeout ends the run: one trainer starts.
+        body = {
+            "command": "select", "k": 2,
+            "specs": [tiny_spec_dict(n) for n in "AB"],
+            "trainer": {"kind": "command", "argv": ["sh", "-c", "sleep 23.456; echo 1.0"],
+                        "timeout": 1.0},
+        }
+        cfg = write_config(tmp_path / "s.yaml", body)
+        before = sleeping("23.456")
+        assert main(["select", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--workers", "1"]) == EXIT_DATA
+        assert "'A'" in capsys.readouterr().err
+        for _ in range(50):     # a killed process leaves /proc within moments
+            left = sleeping("23.456") - before
+            if not left:
+                break
+            time.sleep(0.1)
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert not left, "the timed-out trainer's sleep is still running"
+
+    def test_ctrl_c_still_reaches_the_command_trainers(self, tmp_path):
+        # a terminal sends Ctrl-C to rlab's process group, which no longer holds
+        # the trainers: each runs in a session of its own
+        body = {
+            "command": "select", "k": 2,
+            "specs": [tiny_spec_dict(n) for n in "AB"],
+            "trainer": {"kind": "command", "argv": ["sh", "-c", "sleep 23.457; echo 1.0"]},
+        }
+        cfg = write_config(tmp_path / "s.yaml", body)
+        before = sleeping("23.457")
+        argv = [sys.executable, "-m", "rlab.cli", "select", "--config", cfg,
+                "--out", str(tmp_path / "out"), "--workers", "2"]
+        proc = subprocess.Popen(argv, env=rlab_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            for _ in range(300):        # until both trainers sleep
+                if len(sleeping("23.457") - before) == 2:
+                    break
+                time.sleep(0.1)
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+        finally:
+            time.sleep(0.5)
+            left = sleeping("23.457") - before
+            for pid in left:
+                os.kill(pid, signal.SIGKILL)
+        assert proc.returncode == -signal.SIGINT
+        assert not left, "a trainer's sleep is still running"
 
     @pytest.mark.parametrize("timeout", [0, -1.0, math.inf, "soon", True])
     def test_bad_command_trainer_timeout_is_config_error(self, tmp_path, capsys, timeout):
