@@ -116,8 +116,7 @@ def _check_barycenters(spec: ModelSpec | None, files) -> None:
     for path, ds in files if spec is not None and spec.aux == "barycenter" else ():
         empty = np.flatnonzero(cluster_energy_sum(ds.clusters) == 0.0)
         if empty.size:
-            raise DatasetFormatError(
-                f"{path}: event {empty[0]} is all zero and has no barycenter")
+            raise DatasetFormatError(f"{path}: event {empty[0]} is all zero and has no barycenter")
 
 
 def _spec_from(preset: str | None, spec: dict | None) -> ModelSpec:
@@ -278,11 +277,9 @@ def _mock_trainer(workers: int, *, losses: dict, noise: float = 0.0):
 
 @contextlib.contextmanager
 def _command_trainer(workers: int, *, argv: list, timeout: float | None = None):
-    """Runs an external command per training, side by side; timeout: seconds per call.
-    Each runs in a session of its own, killed whole when the call times out or
-    fails, and a Ctrl-C, which reaches rlab's group alone, is passed on to it."""
+    """Runs an external command per training, side by side; timeout: seconds per call."""
     argv = [str(a) for a in argv]
-    running: set[int] = set()       # the trainers' session ids
+    running: set[int] = set()       # each trainer's session, killed whole if its call fails
     if timeout is not None:
         require_reals(timeout=timeout)
         if not 0 < timeout < math.inf:
@@ -320,17 +317,15 @@ def _command_trainer(workers: int, *, argv: list, timeout: float | None = None):
                                      f"{spec.name!r}: {stdout!r}")
         return loss
 
-    def interrupt(signum, frame):
+    def interrupt(signum, frame):   # a terminal's Ctrl-C reaches rlab's group alone
         for session in tuple(running):
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(session, signum)
         signal.default_int_handler(signum, frame)
 
-    previous = signal.signal(signal.SIGINT, interrupt)
-    try:
+    with contextlib.ExitStack() as restore:     # the handler in place before, at the end
+        restore.callback(signal.signal, signal.SIGINT, signal.signal(signal.SIGINT, interrupt))
         yield command_trainer, workers
-    finally:
-        signal.signal(signal.SIGINT, previous)
 
 
 @contextlib.contextmanager

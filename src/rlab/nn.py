@@ -130,22 +130,18 @@ def _rectifier_pool(x: Tensor, window: int, stride: int, slopes: Tensor | None =
 
     Both are monotone: act(max(w)) has the bits of max(act(w)) for each window
     w, and the gradient reaches the same element or a signed zero _accum drops.
-    - relu maps a NaN to 0.0, so when a window holds one the stage is
-      computed again with the pool after the activation.
-    - prelu is monotone for slopes in (0, 1] only; its backward is the
-      defined order's, run on x through the pool's recorded winners.  Other
-      slopes, or slopes that record a graph where x does not, keep that order.
-      Two values of a window that tie after prelu but not before (a product
-      with the slope rounds): it takes the larger, not the first.
+    relu maps a NaN to 0.0: when a window reads one, the stage takes the defined order.
+    prelu is monotone for slopes in (0, 1] only, and its backward is the defined
+    order's, run on x through the pool's recorded winners.  A product with the
+    slope that rounds can tie two values of a window: the larger wins, not the first.
     """
     if slopes is None:
         pooled = maxpool2d(x, window, stride)
-        if np.isnan(np.max(pooled.data)):    # a window's output is NaN iff it reads one
-            return maxpool2d(relu(x), window, stride)
-        return relu(pooled)     # the module globals: a tracer's rebinding sees the calls
-    if _unit_slopes(slopes.data) and (x.requires_grad or not _records(slopes)):
+        if not np.isnan(np.max(pooled.data)):    # a window's output is NaN iff it reads one
+            return relu(pooled)     # the module globals: a tracer's rebinding sees the calls
+    elif _unit_slopes(slopes.data) and (x.requires_grad or not _records(slopes)):
         return prelu(maxpool2d(x, window, stride), slopes, True)
-    return maxpool2d(prelu(x, slopes), window, stride)
+    return maxpool2d(relu(x) if slopes is None else prelu(x, slopes), window, stride)
 
 
 def _slope_broadcast(xshape: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -156,9 +152,8 @@ def _slope_broadcast(xshape: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def prelu(x: Tensor, slopes: Tensor, pooled: bool = False) -> Tensor:
-    """Parametric rectifier: one learnable slope per channel (conv) or unit (fc).
-
-    pooled: x is a recorded maxpool2d(input); maxpool2d(prelu(input))'s backward runs."""
+    """Parametric rectifier: one learnable slope per channel (conv) or unit (fc);
+    pooled: x is maxpool2d(input), and maxpool2d(prelu(input))'s backward runs."""
     if slopes.data.ndim != 1:
         raise ShapeError("slopes must be a vector")
     bshape = _slope_broadcast(x.data.shape, slopes.data.size)
@@ -170,7 +165,7 @@ def prelu(x: Tensor, slopes: Tensor, pooled: bool = False) -> Tensor:
     out = _leaky(x.data, a, unit)
 
     def vjp(g, x=x, slopes=slopes, a=a, unit=unit, bshape=bshape):
-        if pooled:      # the pool's vjp gives g to a stand-in for its input x
+        if pooled:      # maxpool2d's vjp routes g to the winners of a stand-in input
             sink = Tensor(x._parents[0].data, requires_grad=True)
             x._vjp(g, x=sink)
             g, x = sink.grad, x._parents[0]
