@@ -111,9 +111,8 @@ def _datasets(train_data: str, test_data: str, spec: ModelSpec | None = None):
     return sets
 
 
-def _check_barycenters(spec: ModelSpec | None, files) -> None:
-    """A barycenter spec's (path, dataset) files hold no all-zero cluster."""
-    for path, ds in files if spec is not None and spec.aux == "barycenter" else ():
+def _check_barycenters(spec: ModelSpec | None, paths_and_sets) -> None:
+    for path, ds in paths_and_sets if spec is not None and spec.aux == "barycenter" else ():
         empty = np.flatnonzero(cluster_energy_sum(ds.clusters) == 0.0)
         if empty.size:
             raise DatasetFormatError(f"{path}: event {empty[0]} is all zero and has no barycenter")
@@ -324,7 +323,8 @@ def _command_trainer(workers: int, *, argv: list, timeout: float | None = None):
         signal.default_int_handler(signum, frame)
 
     with contextlib.ExitStack() as restore:     # the handler in place before, at the end
-        restore.callback(signal.signal, signal.SIGINT, signal.signal(signal.SIGINT, interrupt))
+        with contextlib.suppress(ValueError):   # only the main thread may set a handler
+            restore.callback(signal.signal, signal.SIGINT, signal.signal(signal.SIGINT, interrupt))
         yield command_trainer, workers
 
 

@@ -9,6 +9,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 import time
 import zlib
 
@@ -710,6 +711,18 @@ class TestSelect:
         for pid in left:
             os.kill(pid, signal.SIGKILL)
         assert not left, "the timed-out trainer's sleep is still running"
+
+    def test_command_trainer_runs_outside_the_main_thread(self, tmp_path, capsys):
+        # only the main thread may set the handler that passes a Ctrl-C on
+        body = {"command": "select", "k": 2, "specs": [tiny_spec_dict(n) for n in "AB"],
+                "trainer": {"kind": "command", "argv": ["sh", "-c", "echo 1.0"]}}
+        cfg = write_config(tmp_path / "s.yaml", body)
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(
+            ["select", "--config", cfg, "--out", str(tmp_path / "out")])))
+        thread.start()
+        thread.join()
+        assert codes == [EXIT_OK], capsys.readouterr().err
 
     def test_ctrl_c_still_reaches_the_command_trainers(self, tmp_path):
         # a terminal sends Ctrl-C to rlab's process group, which no longer holds

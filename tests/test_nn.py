@@ -254,7 +254,6 @@ class TestReluPoolOracle:
         assert got[0].item() == 3.0
 
 
-
 @st.composite
 def prelu_pool_cases(draw):
     """(x, slopes, window, stride, g): relu_pool_cases' maps and windows,
@@ -334,7 +333,7 @@ class TestPreluPoolOracle:
 
         monkeypatch.setattr(rlab.nn, "prelu", counting)
         x = np.arange(-12.0, 13.0).reshape(1, 1, 5, 5)
-        # x records no graph; slopes that do need its pool's winners
+        # unrecorded, x keeps no pool winners, which recorded slopes would need
         rlab.nn._rectifier_pool(Tensor(x, records), 2, 1, Tensor(np.array([slope]), True))
         rlab.nn._rectifier_pool(Tensor(x, True), 2, 1, Tensor(np.array([0.25]), True))
         assert calls == [(1, 1, 5, 5), (1, 1, 4, 4)]
