@@ -575,3 +575,71 @@ class TestGradientBitsPinned:
     ])
     def test_prelu_presets(self, pin_sets, preset, batch, expected):
         assert _gradient_digest(preset, batch, pin_sets) == expected
+
+
+class _GivenPrediction:
+    """A stand-in model whose forward returns one given leaf."""
+
+    def __init__(self, pred):
+        self.pred = pred
+
+    def forward(self, x, aux):
+        return self.pred
+
+
+def _loss_draw(rng, n, target):
+    """(pred, truth) of batch n: ordinary values, with a share of the
+    elements (none, a few or many) set to zero residuals, signed zeros,
+    subnormals or values up to 1e300."""
+    truth = rng.normal(1.0, 0.5, n) * 10.0 ** rng.uniform(-2, 3, n)
+    pred = truth * (1.0 + rng.normal(0.0, 0.3, n))
+    special = rng.random(n) < rng.choice([0.0, 0.02, 0.1, 1.0])
+    kind = np.where(special, rng.integers(1, 6, n), 0)
+    sign = rng.choice([-1.0, 1.0], n)
+    pred[kind == 1] = truth[kind == 1]
+    pred[kind == 2] = (sign * 0.0)[kind == 2]
+    truth[kind == 3] = (sign * 5e-324 * rng.integers(1, 2 ** 20, n))[kind == 3]
+    pred[kind == 4] = (sign * 10.0 ** rng.uniform(100, 300, n))[kind == 4]
+    truth[kind == 5] = (sign * 10.0 ** rng.uniform(100, 300, n))[kind == 5]
+    pred[kind == 3] = (truth * (1.0 + rng.normal(0.0, 0.3, n)))[kind == 3]
+    return pred, truth
+
+
+def _loss_chain_replay(target, pred, truth):
+    """The loss value and its gradient on pred, in the operation order of
+    the 0.3.0 graph: (r * r).mean().sqrt() over r = pred / t - 1.0 (energy)
+    or r = pred - t, each node's gradient entering .grad through + 0.0."""
+    n = len(pred)
+    r = pred / truth - 1.0 if target == "energy" else pred - truth
+    loss = np.sqrt(np.mean(r * r))
+    u = (1.0 * 0.5 / loss) * (1 / n) * r
+    grad = (u + 0.0) + u
+    if target == "energy":
+        grad = grad / truth
+    return loss, grad + 0.0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestLossNodeBits:
+    """The training loss node against a numpy replay of the 0.3.0 chain: the
+    value and the gradient it gives the prediction keep every bit."""
+
+    @pytest.mark.parametrize("target", ["energy", "position_x"])
+    @pytest.mark.parametrize("batch", [1, 16, 37, 256])
+    def test_value_and_gradient_bits(self, target, batch):
+        rng = np.random.default_rng([batch, target == "energy"])
+        spec = tiny_spec(target)
+        for _ in range(120):
+            pred_data, truth = _loss_draw(rng, batch, target)
+            pred = Tensor(pred_data.copy(), requires_grad=True)
+            with np.errstate(all="ignore"):
+                want_loss, want_grad = _loss_chain_replay(target, pred_data, truth)
+                loss = rlab.training._loss_node(spec, _GivenPrediction(pred), np.zeros(batch),
+                                                None, truth, np.arange(batch))
+                loss.backward()
+                assert _bits(loss.data) == _bits(want_loss)
+                assert _bits(loss.item()) == _bits(loss_value(target, pred_data, truth))
+            assert _bits(pred.grad) == _bits(want_grad)
