@@ -16,14 +16,7 @@ class CatalogueError(ContractError):
 
 
 class DivergenceError(FloatingPointError):
-    """A gradient or parameter became NaN/Inf.  Carries the parameter index."""
-
-    def __init__(self, param_index: int, detail: str = ""):
-        self.param_index = param_index
-        msg = f"non-finite value at parameter {param_index}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+    """A gradient became NaN/Inf; the message names its parameter."""
 
 
 class DatasetFormatError(ValueError):

@@ -87,7 +87,7 @@ class Optimizer:
         p = self.params[i]
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
-            raise DivergenceError(i, "gradient")
+            raise DivergenceError(f"non-finite gradient at parameter {i}")
         if self.cfg.l2 != 0.0:
             g = g + self.cfg.l2 * p.data
         return g

@@ -90,10 +90,6 @@ class Tensor:
 
     # -- introspection --------------------------------------------------------
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single element, got shape {self.data.shape}")
@@ -103,63 +99,7 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, op={self.op}{flag})"
 
-    # -- arithmetic ------------------------------------------------------------
-
-    def _coerce(self, other) -> "Tensor":
-        # a python number becomes a constant of self's shape: x / c rounds as x.data / c
-        if isinstance(other, Tensor):
-            if other.data.shape != self.data.shape:     # no broadcasting, size 1 included
-                raise ShapeError(
-                    f"elementwise op needs matching shapes, got {self.data.shape} and {other.data.shape}")
-            return other
-        return Tensor(np.full(self.data.shape, float(other)))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-
-        def vjp(g, a=self, b=other):
-            a._accum(g)
-            b._accum(-g)
-        return Tensor._result(self.data - other.data, (self, other), "sub", vjp)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-
-        def vjp(g, a=self, b=other):
-            a._accum(g * b.data)
-            b._accum(g * a.data)
-        return Tensor._result(self.data * other.data, (self, other), "mul", vjp)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-
-        def vjp(g, a=self, b=other):
-            a._accum(g / b.data)
-            b._accum(-g * a.data / (b.data * b.data))
-        return Tensor._result(self.data / other.data, (self, other), "div", vjp)
-
-    # -- reductions and shape ops ----------------------------------------------
-
-    def sum(self) -> "Tensor":
-        def vjp(g, a=self):
-            a._accum(np.broadcast_to(g, a.data.shape))
-        return Tensor._result(np.sum(self.data), (self,), "sum", vjp)
-
-    def mean(self) -> "Tensor":
-        inv = 1.0 / self.data.size
-
-        def vjp(g, a=self):
-            a._accum(np.broadcast_to(g * inv, a.data.shape))
-        return Tensor._result(np.mean(self.data), (self,), "mean", vjp)
-
-    def sqrt(self) -> "Tensor":
-        if np.any(self.data < 0.0):
-            raise ContractError("sqrt needs non-negative input")
-        out_data = np.sqrt(self.data)
-
-        def vjp(g, a=self, od=out_data):
-            a._accum(g * 0.5 / od)
-        return Tensor._result(out_data, (self,), "sqrt", vjp)
+    # -- shape ops ---------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):

@@ -31,19 +31,21 @@ EVAL_BATCH = 256
 # -- metrics -----------------------------------------------------------------------
 
 
+def _residual(target: str, pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    # relative for energy, where truth must avoid zero; absolute for a coordinate
+    if pred.shape != truth.shape:
+        raise ContractError(f"shape mismatch: {pred.shape} vs {truth.shape}")
+    if target != "energy":
+        return pred - truth
+    if np.any(truth == 0.0):
+        raise ContractError("relative error undefined at zero truth")
+    return pred / truth - 1.0
+
+
 def loss_value(target: str, pred: np.ndarray, truth: np.ndarray) -> float:
     """RMS of the error: relative, sqrt(mean(((pred - truth) / truth)^2)), for
     energy, where truth must avoid zero; absolute for a coordinate."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ContractError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    if target == "energy":
-        if np.any(truth == 0.0):
-            raise ContractError("relative error undefined at zero truth")
-        r = pred / truth - 1.0
-    else:
-        r = pred - truth
+    r = _residual(target, np.asarray(pred, dtype=np.float64), np.asarray(truth, dtype=np.float64))
     return float(np.sqrt(np.mean(r * r)))
 
 
@@ -239,15 +241,22 @@ class TrainedInstance:
 
 def _loss_node(spec: ModelSpec, model: Model, clusters: np.ndarray,
                aux: np.ndarray | None, targets: np.ndarray, idx: np.ndarray) -> Tensor:
-    x = Tensor(clusters[idx])
+    """loss_value of one minibatch as one graph node.  Its vjp keeps the bits
+    of the chain (r * r).mean().sqrt() that 0.3.0 taped, in that chain's order:
+    sqrt, mean, the square's two equal terms, then energy's division by t."""
     a = Tensor(aux[idx]) if aux is not None else None
-    t = Tensor(targets[idx])
-    pred = model.forward(x, a)
-    if spec.target == "energy":
-        r = pred / t - 1.0
-    else:
-        r = pred - t
-    return (r * r).mean().sqrt()
+    pred = model.forward(Tensor(clusters[idx]), a)
+    t = targets[idx]
+    r = _residual(spec.target, pred.data, t)
+    loss = np.sqrt(np.mean(r * r))
+
+    def vjp(g, pred=pred):
+        u = g * 0.5 / loss * (1.0 / r.size) * r
+        u += u
+        if spec.target == "energy":
+            u /= t
+        pred._accum(u, owned=True)
+    return Tensor._result(loss, (pred,), "loss", vjp)
 
 
 def fit(model: Model, train_arrays, eval_arrays, stop: EarlyStopConfig,

@@ -1,8 +1,9 @@
 """Reference implementations the tests check rlab against.
 
-Nothing in `src/rlab` or perfbench reads these: the gradient oracle, the
-scalar activation catalogue, parameter counts, unit-scale optimizer
-settings, whole-dataset evaluation and a fixed train/test split.
+Nothing in `src/rlab` or perfbench reads these: two scalar graph nodes that
+drive a backward pass, the gradient oracle, the scalar activation catalogue,
+parameter counts, unit-scale optimizer settings, whole-dataset evaluation and
+a fixed train/test split.
 """
 
 from __future__ import annotations
@@ -22,8 +23,20 @@ from rlab.training import evaluate, prepare_arrays
 
 
 def sq_mean(t: Tensor) -> Tensor:
-    """mean(t * t): a smooth scalar loss over any tensor."""
-    return (t * t).mean()
+    """mean(t * t) as one node: a smooth scalar loss over any tensor."""
+    def vjp(g, t=t):
+        t._accum(g * (2.0 / t.data.size) * t.data)
+    return Tensor._result(np.mean(t.data * t.data), (t,), "sq_mean", vjp)
+
+
+def weighted_sum(t: Tensor, g) -> Tensor:
+    """sum(t * g) as one node, g a constant of t's shape (or a number):
+    backward hands t the output gradient 1.0 * g, which has g's bits."""
+    g = np.broadcast_to(np.asarray(g, dtype=np.float64), t.data.shape)
+
+    def vjp(root, t=t):
+        t._accum(root * g)
+    return Tensor._result(np.sum(t.data * g), (t,), "weighted_sum", vjp)
 
 
 # -- gradient oracle ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rlab.nn
-from oracles import activation_value, finite_diff_check, param_count, sq_mean
+from oracles import activation_value, finite_diff_check, param_count, sq_mean, weighted_sum
 from rlab.errors import CatalogueError, ContractError, ShapeError
 from rlab.nn import (
     ACTIVATIONS, Model, ModelSpec, SearchSpace, elu, enumerate_search_space,
@@ -220,7 +220,7 @@ def stage_vjp(stage, x, g):
     t = Tensor(x, requires_grad=True)
     out = stage(t)
     with np.errstate(invalid="ignore"):     # inf * 0 in the loss; g is what counts
-        (out * Tensor(g)).sum().backward()
+        weighted_sum(out, g).backward()
     return out.data, t.grad
 
 
@@ -286,7 +286,7 @@ def prelu_stage_vjp(stage, x, a, g):
     t, s = Tensor(x, requires_grad=True), Tensor(a, requires_grad=True)
     with np.errstate(all="ignore"):
         out = stage(t, s)
-        (out * Tensor(g)).sum().backward()
+        weighted_sum(out, g).backward()
     return out.data, t.grad, s.grad
 
 
@@ -365,12 +365,12 @@ class TestReluStageOrderInModel:
         # calorimeter-like: most cells empty, so many windows pool zeros and ties
         data = rng.exponential(2.0, (9, 1, 15, 15)) * (rng.random((9, 1, 15, 15)) < 0.3)
         aux = Tensor(data.sum(axis=(1, 2, 3)).reshape(9, 1))
-        g = Tensor(rng.normal(size=9))
+        g = rng.normal(size=9)
         runs = []
         for forward in (model.forward, lambda x, aux: old_order_forward(model, x, aux)):
             x = Tensor(data, requires_grad=True)
             out = forward(x, aux)
-            (out * g).sum().backward()
+            weighted_sum(out, g).backward()
             runs.append([bits(out.data), bits(x.grad)]
                         + [bits(p.grad) for p in model.parameters()])
             for p in model.parameters():
@@ -512,7 +512,7 @@ class TestModelForward:
     def test_prediction_shape(self):
         model = Model(preset_spec("model1"), 3)
         out = model.forward(self.batch(4))
-        assert out.shape == (4,)
+        assert out.data.shape == (4,)
 
     def test_init_seed_pins_weights(self):
         a = Model(preset_spec("model1"), 11)

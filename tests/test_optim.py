@@ -159,11 +159,9 @@ class TestQuadraticConvergence:
     def test_reduces_ninety_percent(self, kind):
         w = Tensor(np.zeros(2), requires_grad=True)
         opt = make_optimizer([w], default_config(kind))
-        target = Tensor(self.W_STAR)
         for _ in range(200):
             opt.zero_grad()
-            d = w - target
-            (d * d).sum().backward()
+            w.grad = 2.0 * (w.data - self.W_STAR)
             opt.step()
         f = float(((w.data - self.W_STAR) ** 2).sum())
         assert f <= 0.1, f"{kind}: f after 200 steps = {f}"
@@ -175,9 +173,8 @@ class TestStateAndErrors:
         opt = make_optimizer([p0, p1], OptimizerConfig("sgd", learning_rate=0.1))
         p0.grad = np.array([0.0])
         p1.grad = np.array([np.nan])
-        with pytest.raises(DivergenceError) as exc:
+        with pytest.raises(DivergenceError, match=r"^non-finite gradient at parameter 1$"):
             opt.step()
-        assert exc.value.param_index == 1
 
     def test_inf_gradient_raises(self):
         p = param(1.0)

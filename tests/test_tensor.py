@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 import rlab.tensor
-from oracles import finite_diff_check, sq_mean, zero_grads
+from oracles import finite_diff_check, sq_mean, weighted_sum, zero_grads
 from rlab.errors import ContractError, ShapeError
 from rlab.tensor import Tensor, concat, conv2d, linear, maxpool2d, trace
 
@@ -25,7 +25,7 @@ class TestConvForward:
 
     def test_valid_output_shape(self):
         out = conv2d(Tensor(np.zeros((1, 1, 15, 15))), Tensor(np.zeros((32, 1, 3, 3))))
-        assert out.shape == (1, 32, 13, 13)
+        assert out.data.shape == (1, 32, 13, 13)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(7)
@@ -68,7 +68,7 @@ class TestMaxPool:
         x = Tensor(np.array([[[[1.0, 3.0], [2.0, 3.0]]]]), requires_grad=True)
         out = maxpool2d(x, 2, 2)
         assert out.data.reshape(()) == 3.0
-        out.sum().backward()
+        weighted_sum(out, 1.0).backward()
         np.testing.assert_array_equal(x.grad, [[[[0.0, 1.0], [0.0, 0.0]]]])
 
     @pytest.mark.parametrize("h, window, stride, expected", [
@@ -79,7 +79,7 @@ class TestMaxPool:
     ])
     def test_floor_output_size(self, h, window, stride, expected):
         out = maxpool2d(Tensor(np.zeros((1, 1, h, h))), window, stride)
-        assert out.shape == (1, 1, expected, expected)
+        assert out.data.shape == (1, 1, expected, expected)
 
     def test_window_one_is_identity(self):
         x = np.random.default_rng(0).normal(size=(1, 2, 5, 5))
@@ -91,13 +91,13 @@ class TestMaxPool:
     def test_routed_gradient_mass_is_conserved(self, seed, stride):
         x = rnd((1, 2, 6, 6), seed)
         out = maxpool2d(x, 2, stride)
-        g = np.random.default_rng(seed + 1).normal(size=out.shape)
-        (out * Tensor(g)).sum().backward()
+        g = np.random.default_rng(seed + 1).normal(size=out.data.shape)
+        weighted_sum(out, g).backward()
         np.testing.assert_allclose(x.grad.sum(), g.sum(), rtol=1e-12)
 
     def test_gradient_zero_off_argmax(self):
         x = Tensor(np.array([[[[5.0, 1.0], [2.0, 3.0]]]]), requires_grad=True)
-        maxpool2d(x, 2, 2).sum().backward()
+        weighted_sum(maxpool2d(x, 2, 2), 1.0).backward()
         np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
     def test_invalid_window(self):
@@ -157,14 +157,14 @@ class TestMaxPoolOracle:
         out = maxpool2d(t, window, stride)
         assert bits(out.data) == bits(want_out)
         with np.errstate(invalid="ignore"):     # inf * 0 in the loss; g is what counts
-            (out * Tensor(g)).sum().backward()
+            weighted_sum(out, g).backward()
         assert bits(t.grad) == bits(want_dx)
 
     def test_nan_wins_its_window(self):
         x = Tensor(np.array([[[[1.0, 5.0], [np.nan, 7.0]]]]), requires_grad=True)
         out = maxpool2d(x, 2, 2)
         assert np.isnan(out.data).all()
-        out.sum().backward()
+        weighted_sum(out, 1.0).backward()
         np.testing.assert_array_equal(x.grad, [[[[0.0, 0.0], [1.0, 0.0]]]])
 
     # NaNs of distinct payloads: a window yields the bits of its first NaN
@@ -198,7 +198,7 @@ class TestMaxPoolOracle:
         t = Tensor(x, requires_grad=True)
         out = maxpool2d(t, 2, 2)
         assert np.argsort(out.data.strides).tolist() == np.argsort(x.strides).tolist()
-        out.sum().backward()
+        weighted_sum(out, 1.0).backward()
         assert np.argsort(t.grad.strides).tolist() == np.argsort(x.strides).tolist()
 
 
@@ -284,8 +284,8 @@ class TestConvInputGradOracle:
         x = Tensor(rng.normal(size=(n, cin, k + extra, k + extra + 1)), requires_grad=True)
         kern = rng.normal(size=(cout, cin, k, k))
         out = conv2d(x, Tensor(kern))
-        g = rng.normal(size=out.shape)
-        (out * Tensor(g)).sum().backward()
+        g = rng.normal(size=out.data.shape)
+        weighted_sum(out, g).backward()
         want = conv_input_grad_reference(g, kern)
         # rtol 1e-12 of the summed magnitudes, so cancellation cannot fail it
         scale = conv_input_grad_reference(np.abs(g), np.abs(kern))
@@ -314,21 +314,21 @@ class TestBackward:
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ShapeError):
-            (x * 2.0).backward()
+            x.reshape(1, 3).backward()
 
     def test_each_node_visited_once(self):
         x = Tensor(np.ones(4), requires_grad=True)
-        y = x * 2.0
-        z = concat([y, y]).sum()   # diamond: y feeds twice
-        ids = [id(n) for n in trace(z)]
+        y = x.reshape(1, 4)
+        z = linear(concat([y, y], axis=1), Tensor(np.full((1, 8), 2.0)), Tensor(np.zeros(1)))
+        ids = [id(n) for n in trace(z)]   # diamond: y feeds twice
         assert len(ids) == len(set(ids))
         z.backward()
         np.testing.assert_array_equal(x.grad, np.full(4, 4.0))
 
     def test_parents_precede_children(self):
         x = Tensor(np.ones(2), requires_grad=True)
-        y = x * 3.0
-        z = y.sum()
+        y = x.reshape(1, 2)
+        z = linear(y, Tensor(np.full((1, 2), 3.0)), Tensor(np.zeros(1)))
         order = trace(z)
         assert order.index(x) < order.index(y) < order.index(z)
 
@@ -346,7 +346,8 @@ class TestBackward:
 
     def test_grad_accumulates_across_paths(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        out = (x * x).sum()   # d/dx x^2 = 2x
+        xm = x.reshape(1, 1)
+        out = linear(xm, xm, Tensor(np.zeros(1)))   # d/dx x^2 = 2x, half through each path
         out.backward()
         np.testing.assert_allclose(x.grad, [4.0])
 
@@ -376,12 +377,7 @@ class TestFiniteDiffOracle:
     def test_concat_and_arithmetic(self):
         a = rnd((3, 2), 16)
         b = rnd((3, 4), 17)
-        t = Tensor(np.random.default_rng(18).normal(2.0, 0.1, (3, 6)))
-
-        def loss():
-            merged = concat([a, b], axis=1)
-            return sq_mean((merged - t) / t).sqrt()
-        self.check(loss, [a, b])
+        self.check(lambda: sq_mean(concat([a, b], axis=1)), [a, b])
 
     def test_composite_conv_pool_linear(self):
         x = rnd((1, 1, 8, 8), 19)
@@ -398,7 +394,7 @@ class TestFiniteDiffOracle:
         w = rnd((6, 6), 23)
 
         def loss():
-            return (w * w * w).mean()
+            return sq_mean(linear(w, w, Tensor(np.zeros(6))))
         full = finite_diff_check(loss, [w])
         sampled = finite_diff_check(loss, [w], sample_limit=10, seed=1)
         assert sampled <= full + 1e-12
@@ -406,50 +402,13 @@ class TestFiniteDiffOracle:
     def test_zero_step_rejected(self):
         w = rnd((2,), 24)
         with pytest.raises(ContractError):
-            finite_diff_check(lambda: (w * w).sum(), [w], h=0.0)
+            finite_diff_check(lambda: sq_mean(w), [w], h=0.0)
 
 
 class TestArithmetic:
-    def test_division_gradients(self):
-        a = Tensor(np.array([6.0]), requires_grad=True)
-        b = Tensor(np.array([3.0]), requires_grad=True)
-        (a / b).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0 / 3.0])
-        np.testing.assert_allclose(b.grad, [-6.0 / 9.0])
-
-    def test_number_operand_rounds_as_numpy_does(self):
-        # a number on the right becomes a constant tensor of x's shape
-        x = Tensor(np.random.default_rng(26).normal(size=(2, 3)))
-        c = 0.3
-        pairs = [(x - c, x.data - c), (x * c, x.data * c), (x / c, x.data / c)]
-        for got, want in pairs:
-            assert got.data.tobytes() == want.tobytes()
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            Tensor(np.zeros(3)) - Tensor(np.zeros(4))
-
-    @pytest.mark.parametrize("op", ["__sub__", "__mul__", "__truediv__"])
-    @pytest.mark.parametrize("shapes", [((3,), (1,)), ((1,), (3,)), ((2, 3), ()), ((), (2,))])
-    def test_size_one_operand_rejected_in_forward(self, op, shapes):
-        # a broadcast forward would give gradients of the wrong shape in backward
-        a = Tensor(np.ones(shapes[0]), requires_grad=True)
-        b = Tensor(np.ones(shapes[1]), requires_grad=True)
-        with pytest.raises(ShapeError, match="matching shapes"):
-            getattr(a, op)(b)
-
-    def test_sqrt_of_negative_rejected(self):
-        with pytest.raises(ContractError):
-            Tensor(np.array([-1.0])).sqrt()
-
-    def test_mean_gradient_uniform(self):
-        x = Tensor(np.arange(5.0), requires_grad=True)
-        x.mean().backward()
-        np.testing.assert_array_equal(x.grad, np.full(5, 0.2))
-
     def test_zero_grads(self):
         x = Tensor(np.ones(2), requires_grad=True)
-        (x * x).sum().backward()
+        sq_mean(x).backward()
         assert x.grad is not None
         zero_grads([x])
         assert x.grad is None
