@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 import rlab
+import rlab.tensor
 
 MODULES = sorted(pathlib.Path(rlab.__file__).parent.glob("*.py"))
 
@@ -108,3 +109,13 @@ def test_every_name_has_a_caller_outside_the_tests():
     unread = unread_names({p.stem: p.read_text() for p in MODULES},
                           [p.read_text() for p in PERFBENCH])
     assert unread == [], f"read by tests only, or by nothing: {unread}"
+
+
+# graph nodes come only from named ops, each with its own shape checks
+_BINARY = ("add", "sub", "mul", "truediv", "pow", "matmul")
+ARITHMETIC = {f"__{op}__" for op in _BINARY} | {f"__r{op}__" for op in _BINARY} | {"__neg__"}
+
+
+def test_tensor_defines_no_arithmetic_operator():
+    defined = sorted(ARITHMETIC & set(vars(rlab.tensor.Tensor)))
+    assert defined == [], f"Tensor defines {defined}; build graph nodes from named ops"
