@@ -528,6 +528,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:   # one line, then the death by SIGINT that stops a shell loop
+        print("interrupted", file=sys.stderr, flush=True)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGINT)
 
 
 if __name__ == "__main__":

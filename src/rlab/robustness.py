@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import signal
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
@@ -186,6 +187,8 @@ _worker_data: tuple[Dataset, Dataset] | None = None
 def _set_worker_data(pool: Dataset, test_set: Dataset) -> None:
     global _worker_data
     _worker_data = (pool, test_set)
+    # a terminal's Ctrl-C reaches the workers too: they end quietly, rlab reports it
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
 
 
 def _worker_task(args: tuple) -> TrainedInstance:

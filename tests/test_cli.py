@@ -75,6 +75,20 @@ def sleeping(seconds: str) -> set[int]:
     return pids
 
 
+def session_members(session: int) -> set[int]:
+    """Pids of the running processes of a session."""
+    pids = set()
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+        except (OSError, ValueError):     # not a pid, or gone meanwhile
+            continue
+        if fields[3] == str(session) and fields[0] != "Z":
+            pids.add(int(entry))
+    return pids
+
+
 @pytest.fixture(scope="module")
 def data_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("data")
@@ -431,6 +445,33 @@ class TestRobustness:
         )
         assert main(["robustness", "--config", cfg, "--out", str(tmp_path)]) == EXIT_DIVERGED
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_ctrl_c_is_one_line_and_death_by_sigint(self, tmp_path, data_files, workers):
+        # a terminal sends Ctrl-C to the whole group: rlab and its pool workers
+        train, test = data_files
+        endless = {"min_epochs": 10 ** 6, "window": 1, "hard_cap": 10 ** 6}
+        cfg = write_config(tmp_path / "r.yaml", robustness_config(train, test, k=4, stop=endless))
+        argv = [sys.executable, "-m", "rlab.cli", "robustness", "--config", cfg,
+                "--out", str(tmp_path / "out"), "--workers", workers]
+        proc = subprocess.Popen(argv, env=rlab_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        err = None
+        try:
+            time.sleep(4)               # the trainings are running
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+        finally:
+            time.sleep(0.5)
+            left = session_members(proc.pid)
+            for pid in left:
+                os.kill(pid, signal.SIGKILL)
+        assert proc.returncode == -signal.SIGINT
+        assert err == "interrupted\n"
+        assert not left, "a worker is still running"
+
     def test_nan_hard_cap_is_one_config_error_line_before_training(
             self, tmp_path, data_files, capsys, monkeypatch):
         # a NaN cap never compares true, so a training under it would not end
@@ -738,13 +779,14 @@ class TestSelect:
                 "--out", str(tmp_path / "out"), "--workers", "2"]
         proc = subprocess.Popen(argv, env=rlab_env(), stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True, start_new_session=True)
+        err = None
         try:
             for _ in range(300):        # until both trainers sleep
                 if len(sleeping("23.457") - before) == 2:
                     break
                 time.sleep(0.1)
             os.killpg(proc.pid, signal.SIGINT)
-            proc.communicate(timeout=10)
+            _, err = proc.communicate(timeout=10)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
@@ -754,6 +796,7 @@ class TestSelect:
             for pid in left:
                 os.kill(pid, signal.SIGKILL)
         assert proc.returncode == -signal.SIGINT
+        assert err == "interrupted\n"
         assert not left, "a trainer's sleep is still running"
 
     @pytest.mark.parametrize("timeout", [0, -1.0, math.inf, "soon", True])
