@@ -204,38 +204,66 @@ FORMAT_VERSION = 1
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
-    """Write magic, version, provenance block, count, events, payload CRC."""
+    """Write magic, version, provenance block, count, events, payload CRC.
+
+    The events are written from their array and checksummed in place.
+    """
     meta = {"generator": dataset.config.to_dict(), "seed": dataset.seed}
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    events = np.ascontiguousarray(dataset.events, dtype="<f8").tobytes()
-    payload = struct.pack("<I", len(blob)) + blob + struct.pack("<Q", len(dataset)) + events
+    events = np.ascontiguousarray(dataset.events, dtype="<f8")
+    head = struct.pack("<I", len(blob)) + blob + struct.pack("<Q", len(dataset))
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", FORMAT_VERSION))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+        fh.write(head)
+        fh.write(events)
+        fh.write(struct.pack("<I", zlib.crc32(events, zlib.crc32(head))))
+
+
+def _read_payload(fh, length: int) -> tuple[bytes, np.ndarray | None, int]:
+    """(head, events, CRC) of the `length` payload bytes at fh's position.
+
+    When the count fits the payload exactly, head is the bytes before the
+    events, which are read straight into their array.  Otherwise the events
+    are None and head is the whole payload, for the checks to find the fault.
+    """
+    head = fh.read(min(4, length))
+    if len(head) == 4:
+        meta_end = 4 + struct.unpack("<I", head)[0]
+        if meta_end + 8 <= length:
+            head += fh.read(meta_end + 8 - 4)
+            (count,) = struct.unpack_from("<Q", head, meta_end)
+            if count * _EVENT_WIDTH * 8 == length - len(head):
+                events = np.empty((count, _EVENT_WIDTH), "<f8")
+                fh.readinto(events)
+                return head, events, zlib.crc32(events, zlib.crc32(head))
+    head += fh.read(length - len(head))
+    return head, None, zlib.crc32(head)
 
 
 def load_dataset(path: str) -> Dataset:
     """Inverse of save_dataset; any inconsistency raises DatasetFormatError.
 
     So does an invalid generator config, a non-finite value or an energy
-    that is not above 0: the first bad event is named.
+    that is not above 0: the first bad event is named.  The events are read
+    once, into the array returned.
     """
     with open(os.fspath(path), "rb") as fh:     # open() takes an int or a bool as a fd
-        raw = fh.read()
-    if len(raw) < 10 or raw[:4] != MAGIC:
-        raise DatasetFormatError(f"{path}: not a dataset file (bad magic)")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != FORMAT_VERSION:
-        raise DatasetFormatError(f"{path}: unsupported format version {version}")
-    payload, crc_stored = raw[6:-4], raw[-4:]
-    if len(raw) < 14 or zlib.crc32(payload) != struct.unpack("<I", crc_stored)[0]:
-        raise DatasetFormatError(f"{path}: checksum mismatch (truncated or corrupt)")
-    (blob_len,) = struct.unpack_from("<I", payload, 0)
+        size = os.fstat(fh.fileno()).st_size
+        start = fh.read(6)
+        if size < 10 or start[:4] != MAGIC:
+            raise DatasetFormatError(f"{path}: not a dataset file (bad magic)")
+        (version,) = struct.unpack_from("<H", start, 4)
+        if version != FORMAT_VERSION:
+            raise DatasetFormatError(f"{path}: unsupported format version {version}")
+        length = size - 10
+        head, m, crc = _read_payload(fh, length)
+        if size < 14 or fh.read(4) != struct.pack("<I", crc):
+            raise DatasetFormatError(f"{path}: checksum mismatch (truncated or corrupt)")
+    (blob_len,) = struct.unpack_from("<I", head, 0)
     meta_end = 4 + blob_len
     try:
-        meta = json.loads(payload[4:meta_end].decode("utf-8"))
+        meta = json.loads(head[4:meta_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DatasetFormatError(f"{path}: bad provenance block: {e}") from None
     if not isinstance(meta, dict) or "generator" not in meta:
@@ -244,14 +272,12 @@ def load_dataset(path: str) -> Dataset:
         cfg = GeneratorConfig(**meta["generator"])
     except (TypeError, ValueError) as e:
         raise DatasetFormatError(f"{path}: bad generator config: {e}") from None
-    if meta_end + 8 > len(payload):
+    if meta_end + 8 > length:
         raise DatasetFormatError(f"{path}: event count lies past the payload end")
-    (count,) = struct.unpack_from("<Q", payload, meta_end)
-    body = payload[meta_end + 8:]
-    expected = count * _EVENT_WIDTH * 8
-    if len(body) != expected:
-        raise DatasetFormatError(f"{path}: expected {expected} event bytes, found {len(body)}")
-    m = np.frombuffer(body, dtype="<f8").reshape(count, _EVENT_WIDTH).astype(np.float64)
+    if m is None:
+        (count,) = struct.unpack_from("<Q", head, meta_end)
+        raise DatasetFormatError(f"{path}: expected {count * _EVENT_WIDTH * 8} event bytes, "
+                                 f"found {length - meta_end - 8}")
     finite = np.isfinite(m).all(axis=1)
     bad = ~finite | ~(m[:, CELLS] > 0.0)
     if bad.any():
@@ -259,4 +285,3 @@ def load_dataset(path: str) -> Dataset:
         what = "a non-finite value" if not finite[i] else f"energy {m[i, CELLS]!r}, not above 0"
         raise DatasetFormatError(f"{path}: event {i} holds {what}")
     return Dataset(m, cfg, seed=meta.get("seed"))
-

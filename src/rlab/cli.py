@@ -176,11 +176,13 @@ def cmd_gen_data(out_dir: str, workers: int, *, n: int, seed: int, generator: di
     dataset = generate_dataset(gen, n, seed)
     path = os.path.join(out_dir, filename)
     save_dataset(dataset, path)
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
     empty = np.count_nonzero(cluster_energy_sum(dataset.clusters) == 0.0)
     note = f", {empty} with no visible energy" if empty else ""
-    print(f"wrote {path}: {n} kind-{gen.dataset_kind} events, sha256 {digest}{note}")
+    print(f"wrote {path}: {n} kind-{gen.dataset_kind} events, sha256 {digest.hexdigest()}{note}")
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import signal
+import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
@@ -24,7 +25,7 @@ from .calo import Dataset, bootstrap_sample, subsample
 from .errors import ContractError, WorkerLostError, require_counts, require_reals, require_seeds
 from .nn import ModelSpec
 from .seeding import substream_seed
-from .training import EarlyStopConfig, TrainedInstance, train_instance
+from .training import EarlyStopConfig, TrainedInstance, _one_blas_thread, train_instance
 
 RANDOMIZATION_MODES = ("fixed_data_random_init", "random_data_fixed_init", "both_random")
 
@@ -202,8 +203,12 @@ class InstanceRunner:
     worker the trainings run in this process.  With more they run on a
     fork-started process pool whose workers receive the data once, through
     the initializer.  The workers are forked in the constructor, before any
-    thread of the caller's starts; leaving the `with` block joins and reaps
-    them.  Any number of threads may call `train` at once.
+    thread of the caller's starts, and under the held BLAS guard: they
+    inherit one BLAS thread and never set the count, which would restart
+    the thread pool that OpenBLAS shuts down at fork.  Leaving the `with`
+    block joins and reaps them, after ending them when it leaves on an
+    exception (Ctrl-C, a lost worker), and restores the caller's BLAS
+    threads.  Any number of threads may call `train` at once.
     """
 
     def __init__(self, pool: Dataset, test_set: Dataset, workers: int = 1):
@@ -213,14 +218,25 @@ class InstanceRunner:
             self._executor = ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_set_worker_data, initargs=(pool, test_set))
-            self._executor.submit(int).result()     # the first submit forks every worker
+            _one_blas_thread.__enter__()
+            try:
+                self._executor.submit(int).result()     # the first submit forks every worker
+            except BaseException:
+                self.__exit__(*sys.exc_info())
+                raise
 
     def __enter__(self) -> "InstanceRunner":
         return self
 
     def __exit__(self, *exc) -> None:
         if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
+            try:
+                if exc[0] is not None:      # no result is awaited: end the trainings now
+                    for worker in list(self._executor._processes.values()):
+                        worker.terminate()
+                self._executor.shutdown(wait=True, cancel_futures=True)
+            finally:
+                _one_blas_thread.__exit__()
 
     def train(self, tasks: Sequence[tuple]) -> list[TrainedInstance]:
         """The trained instances, in task order.  A worker that dies (killed,

@@ -327,3 +327,69 @@ class TestFileFormat:
         self.rewrite_payload(path, drop_generator)
         with pytest.raises(DatasetFormatError, match="generator"):
             load_dataset(path)
+
+    def test_count_that_no_memory_holds_is_a_format_error(self, tmp_path):
+        # a valid CRC over a corrupt count: the count must not size an allocation
+        import struct
+        path = str(tmp_path / "huge.rlab")
+        save_dataset(generate_dataset(GeneratorConfig(), 4, seed=47), path)
+
+        def huge_count(payload):
+            (blob_len,) = struct.unpack_from("<I", payload, 0)
+            meta_end = 4 + blob_len
+            return payload[:meta_end] + struct.pack("<Q", 2 ** 60) + payload[meta_end + 8:]
+        self.rewrite_payload(path, huge_count)
+        with pytest.raises(DatasetFormatError, match="expected .* event bytes, found 7360"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("blob_len", [0, 3, 2 ** 32 - 1])
+    def test_blob_length_that_misses_the_block_is_a_format_error(self, tmp_path, blob_len):
+        import struct
+        path = str(tmp_path / "blob.rlab")
+        save_dataset(generate_dataset(GeneratorConfig(), 4, seed=48), path)
+        self.rewrite_payload(path, lambda p: struct.pack("<I", blob_len) + p[4:])
+        with pytest.raises(DatasetFormatError, match="provenance block"):
+            load_dataset(path)
+
+    def test_every_truncation_is_a_checksum_mismatch(self, tmp_path):
+        path = tmp_path / "cut.rlab"
+        save_dataset(generate_dataset(GeneratorConfig(), 1, seed=49), str(path))
+        raw = path.read_bytes()
+        for end in range(10, len(raw)):
+            path.write_bytes(raw[:end])
+            with pytest.raises(DatasetFormatError, match="checksum mismatch"):
+                load_dataset(str(path))
+
+
+class TestFileMemory:
+    """Dataset I/O holds each event byte once: tracemalloc sees numpy's
+    allocations, so its peak counts every copy of the events."""
+
+    N = 1000
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_dataset(GeneratorConfig(), self.N, seed=50)
+
+    @staticmethod
+    def peak(call):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_load_holds_the_events_once_plus_its_check(self, tmp_path, dataset):
+        path = str(tmp_path / "pool.rlab")
+        save_dataset(dataset, path)
+        back, peak = self.peak(lambda: load_dataset(path))
+        assert np.array_equal(back.events, dataset.events)
+        # the events, plus the one bool per value of the finiteness check
+        assert peak / dataset.events.nbytes <= 1.25
+
+    def test_save_copies_no_events(self, tmp_path, dataset):
+        _, peak = self.peak(lambda: save_dataset(dataset, str(tmp_path / "pool.rlab")))
+        assert peak / dataset.events.nbytes <= 0.25

@@ -376,6 +376,35 @@ class TestAllZeroCluster:
         assert err == f"data error: {events}: event 15 is all zero and has no barycenter\n"
 
 
+# a stop rule no training reaches in a test's lifetime
+ENDLESS = {"min_epochs": 10 ** 6, "window": 1, "hard_cap": 10 ** 6}
+
+
+def interrupted(args: list[str], send, timeout: float) -> None:
+    """Run rlab with args in a session of its own, send(its pid, SIGINT) once
+    its trainings run, and require within timeout seconds one 'interrupted'
+    line, death by SIGINT and no session member left behind."""
+    argv = [sys.executable, "-m", "rlab.cli", *args]
+    proc = subprocess.Popen(argv, env=rlab_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    err = None
+    try:
+        time.sleep(4)               # the trainings are running
+        send(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+    finally:
+        time.sleep(0.5)
+        left = session_members(proc.pid)
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+    assert proc.returncode == -signal.SIGINT
+    assert err == "interrupted\n"
+    assert not left, "a worker is still running"
+
+
 def robustness_config(train, test, **extra):
     body = {
         "command": "robustness",
@@ -448,29 +477,19 @@ class TestRobustness:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_ctrl_c_is_one_line_and_death_by_sigint(self, tmp_path, data_files, workers):
         # a terminal sends Ctrl-C to the whole group: rlab and its pool workers
-        train, test = data_files
-        endless = {"min_epochs": 10 ** 6, "window": 1, "hard_cap": 10 ** 6}
-        cfg = write_config(tmp_path / "r.yaml", robustness_config(train, test, k=4, stop=endless))
-        argv = [sys.executable, "-m", "rlab.cli", "robustness", "--config", cfg,
-                "--out", str(tmp_path / "out"), "--workers", workers]
-        proc = subprocess.Popen(argv, env=rlab_env(), stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True, start_new_session=True)
-        err = None
-        try:
-            time.sleep(4)               # the trainings are running
-            os.killpg(proc.pid, signal.SIGINT)
-            _, err = proc.communicate(timeout=30)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-        finally:
-            time.sleep(0.5)
-            left = session_members(proc.pid)
-            for pid in left:
-                os.kill(pid, signal.SIGKILL)
-        assert proc.returncode == -signal.SIGINT
-        assert err == "interrupted\n"
-        assert not left, "a worker is still running"
+        cfg = write_config(tmp_path / "r.yaml",
+                           robustness_config(*data_files, k=4, stop=ENDLESS))
+        interrupted(["robustness", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--workers", workers], os.killpg, timeout=30)
+
+    @pytest.mark.parametrize("command", ["robustness", "sweep"])
+    def test_sigint_to_rlab_alone_ends_its_workers(self, tmp_path, data_files, command):
+        # kill -INT <pid> reaches rlab but not the pool workers that train
+        body = {"robustness": robustness_config(*data_files, k=4, stop=ENDLESS),
+                "sweep": TestSweep.sweep_body(*data_files, stop=ENDLESS)}[command]
+        cfg = write_config(tmp_path / "c.yaml", body)
+        interrupted([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--workers", "2"], os.kill, timeout=5)
 
     def test_nan_hard_cap_is_one_config_error_line_before_training(
             self, tmp_path, data_files, capsys, monkeypatch):
@@ -949,7 +968,8 @@ class TestSelectBytesPinned:
 
 
 class TestSweep:
-    def sweep_body(self, train, test, **extra):
+    @staticmethod
+    def sweep_body(train, test, **extra):
         body = {
             "command": "sweep",
             "spec": tiny_spec_dict(),

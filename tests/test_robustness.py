@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -29,7 +30,7 @@ from rlab.robustness import (
     select_models,
     summary_statistics,
 )
-from rlab.training import EarlyStopConfig, TrainedInstance
+from rlab.training import EarlyStopConfig, TrainedInstance, openblas_thread_controls
 
 
 def crit(kind, q=None):
@@ -326,11 +327,46 @@ class TestRunInstances:
         assert multiprocessing.active_children() == []
         assert got == expected
 
+    @pytest.mark.skipif(not (openblas_thread_controls() and os.path.isdir("/proc/self/task")),
+                        reason="needs OpenBLAS's thread-count functions and /proc")
+    def test_workers_train_on_the_one_thread_they_inherit(self, pools, monkeypatch):
+        # OpenBLAS ends its thread pool at fork; setting the count in a worker
+        # would start it again
+        controls = openblas_thread_controls()
+        saved = [get() for _, get, _ in controls]
+        monkeypatch.setitem(_PROBE, "barrier", multiprocessing.get_context("fork").Barrier(2))
+        monkeypatch.setattr(rlab.robustness, "_worker_task", _task_then_threads)
+        tasks = [(tiny_spec(), 32, seed, seed + 1, ONE_EPOCH) for seed in (3, 5)]
+        try:
+            for _, _, set_ in controls:
+                set_(2)
+            with InstanceRunner(*pools, workers=2) as runner:
+                probes = runner.train(tasks)
+            assert len({pid for pid, _, _ in probes}) == 2
+            assert [probe[1:] for probe in probes] == [(1, [1] * len(controls))] * 2
+            assert [get() for _, get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, _, set_), count in zip(controls, saved):
+                set_(count)
+
     def test_sample_size_recorded(self, pools):
         pool, test = pools
         rec = run_instances(tiny_spec(), 1, pool, test, sample_size=20,
                             base_seed=1, stop=ONE_EPOCH)
         assert rec.sample_size == 20
+
+
+# state a runner's workers inherit at fork: set by a test before it forks them
+_PROBE = {}
+
+
+def _task_then_threads(args: tuple) -> tuple:
+    """A worker's task that trains, waits until every worker has trained,
+    then returns (pid, its thread count, each OpenBLAS's thread count)."""
+    rlab.robustness._train_task(*rlab.robustness._worker_data, *args)
+    _PROBE["barrier"].wait(timeout=60)
+    return (os.getpid(), len(os.listdir("/proc/self/task")),
+            [get() for _, get, _ in openblas_thread_controls()])
 
 
 class FixedTrainer:

@@ -51,6 +51,14 @@ def test_seeds_are_derived_in_seeding_only(path):
     assert calls == [], f"{path.name} calls {calls}; derive seeds through rlab.seeding"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_training_workers_are_forked_by_the_instance_runner_only(path):
+    # InstanceRunner's pool, whose workers fork under the held BLAS guard
+    pools = 1 if path.stem == "robustness" else 0
+    assert path.read_text().count("ProcessPoolExecutor(") == pools, (
+        f"{path.name} starts a process pool; fork training workers through InstanceRunner")
+
+
 # modules whose names may wait for a caller: ROADMAP direction 6 gives
 # baselines one through the baseline_gate policy
 UNCALLED_MODULES = {"baselines"}
