@@ -377,11 +377,19 @@ def _round_losses(trainer: TrainerFn, calls: list[tuple], workers: int):
     """The trainer's results for one round's (spec, round, seed) calls, in call
     order.  With workers > 1 the calls run on that many threads; the first
     failure in call order is raised once the running calls have ended, and
-    the calls not yet started are dropped."""
+    the calls not yet started are dropped.  On Ctrl-C the running calls are
+    not waited for: the trainer's context, left next, ends what they wait on."""
     if workers <= 1:
         return (trainer(*call) for call in calls)
-    with ThreadPoolExecutor(min(workers, len(calls))) as threads:
+    threads = ThreadPoolExecutor(min(workers, len(calls)))
+    wait = True
+    try:
         return list(threads.map(trainer, *zip(*calls)))
+    except KeyboardInterrupt:
+        wait = False
+        raise
+    finally:
+        threads.shutdown(wait=wait, cancel_futures=not wait)
 
 
 def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,

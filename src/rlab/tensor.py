@@ -115,14 +115,23 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into .grad over the whole graph.
 
         self must be scalar; call sites own grad zeroing between passes.
+        The graph is released as the walk goes: once an interior node's vjp
+        has run, the node drops its vjp, parents and .grad, so the arrays its
+        closure saved are freed, and so is its forward value once nothing
+        else holds the node.  Leaves keep their .grad.  A graph is walked once.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.data.shape}")
         nodes = trace(self)
+        if any(node._vjp is None and node.op != "leaf" for node in nodes):
+            raise ContractError("backward() through a graph an earlier backward released")
         self._accum(np.ones_like(self.data))
-        for node in reversed(nodes):
-            if node._vjp is not None and node.grad is not None:
-                node._vjp(node.grad)
+        while nodes:
+            node = nodes.pop()
+            if node.op != "leaf":
+                if node.grad is not None:
+                    node._vjp(node.grad)
+                node._vjp, node._parents, node.grad = None, (), None
 
 
 def trace(root: Tensor) -> list[Tensor]:

@@ -207,6 +207,20 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep the arrays backward frees in this process's heap, as glibc
+    otherwise unmaps large blocks and trims the heap top at once, and the next
+    batch faults every page in again: blocks under 32 MiB come from the heap,
+    which is trimmed past 1 GiB free only.  Set once, by the first training,
+    so a process that never trains keeps glibc's policy; no-op elsewhere."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)        # M_TRIM_THRESHOLD
+
+
 # -- the trainer ----------------------------------------------------------------------
 
 
@@ -306,6 +320,7 @@ def train_instance(spec: ModelSpec, train_set: Dataset, eval_set: Dataset,
     initialization-side stochasticity.
     """
     stop = stop or EarlyStopConfig()
+    _keep_freed_heap()
     t0 = time.perf_counter()
     model = Model(spec, init_seed)
     with _one_blas_thread:

@@ -482,11 +482,17 @@ class TestRobustness:
         interrupted(["robustness", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--workers", workers], os.killpg, timeout=30)
 
-    @pytest.mark.parametrize("command", ["robustness", "sweep"])
+    @pytest.mark.parametrize("command", ["robustness", "sweep", "select"])
     def test_sigint_to_rlab_alone_ends_its_workers(self, tmp_path, data_files, command):
         # kill -INT <pid> reaches rlab but not the pool workers that train
-        body = {"robustness": robustness_config(*data_files, k=4, stop=ENDLESS),
-                "sweep": TestSweep.sweep_body(*data_files, stop=ENDLESS)}[command]
+        train, test = data_files
+        body = {"robustness": robustness_config(train, test, k=4, stop=ENDLESS),
+                "sweep": TestSweep.sweep_body(train, test, stop=ENDLESS),
+                "select": {"command": "select", "k": 2,
+                           "specs": [tiny_spec_dict(f"s{i}", lr=lr)
+                                     for i, lr in enumerate([1e-3, 3e-3, 1e-2, 3e-2])],
+                           "trainer": {"kind": "instances", "train_data": train,
+                                       "test_data": test, "stop": ENDLESS}}}[command]
         cfg = write_config(tmp_path / "c.yaml", body)
         interrupted([command, "--config", cfg, "--out", str(tmp_path / "out"),
                      "--workers", "2"], os.kill, timeout=5)

@@ -1,5 +1,8 @@
 """Autograd core: forward values, shapes, and gradients against finite differences."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +10,12 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 import rlab.tensor
+import rlab.training
 from oracles import finite_diff_check, sq_mean, weighted_sum, zero_grads
+from rlab.calo import GeneratorConfig, generate_dataset
 from rlab.errors import ContractError, ShapeError
+from rlab.nn import Model, preset_spec
+from rlab.optim import make_optimizer
 from rlab.tensor import Tensor, concat, conv2d, linear, maxpool2d, trace
 
 
@@ -350,6 +357,50 @@ class TestBackward:
         out = linear(xm, xm, Tensor(np.zeros(1)))   # d/dx x^2 = 2x, half through each path
         out.backward()
         np.testing.assert_allclose(x.grad, [4.0])
+
+    def test_second_backward_through_a_released_graph_is_rejected(self):
+        x = Tensor(np.ones(4), requires_grad=True)
+        y = x.reshape(1, 4)
+        z = linear(y, Tensor(np.full((1, 4), 2.0)), Tensor(np.zeros(1)))
+        z.backward()
+        with pytest.raises(ContractError):
+            z.backward()
+        with pytest.raises(ContractError):      # a new root over a released node
+            linear(y, Tensor(np.ones((1, 4))), Tensor(np.zeros(1))).backward()
+        np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
+
+    def test_backward_keeps_leaf_grads_and_drops_the_rest(self):
+        x = Tensor(np.ones(4), requires_grad=True)
+        y = x.reshape(1, 4)
+        z = linear(y, Tensor(np.full((1, 4), 2.0)), Tensor(np.zeros(1)))
+        z.backward()
+        np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
+        assert y.grad is None and z.grad is None
+        assert y._parents == z._parents == () and y._vjp is z._vjp is None
+
+
+class TestStepMemory:
+    def test_training_steps_hold_one_graph(self):
+        # fit's loop: a step's loss stays bound while the next step builds
+        # its graph, so backward must leave that loss holding no arrays
+        spec = replace(preset_spec("model3"), batch_size=128)
+        events = generate_dataset(GeneratorConfig(), 3 * 128, seed=31)
+        model = Model(spec, 5)
+        opt = make_optimizer(model.parameters(), spec.optimizer)
+        clusters, aux, targets = rlab.training.prepare_arrays(spec, events)
+        batches = np.arange(len(targets)).reshape(3, 128)
+        tracemalloc.start()
+        try:
+            with rlab.training._one_blas_thread:
+                for idx in batches:
+                    opt.zero_grad()
+                    loss = rlab.training._loss_node(spec, model, clusters, aux, targets, idx)
+                    loss.backward()
+                    opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, f"three steps peaked at {peak / 1e6:.1f} MB"
 
 
 class TestFiniteDiffOracle:

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import platform
+import resource
 import sys
 import threading
 from dataclasses import replace
@@ -387,6 +389,26 @@ class TestTrainInstance:
         assert inst.final_test_loss == math.inf
         assert inst.loss_trace[-1] == math.inf
         assert inst.stop_epoch == len(inst.loss_trace)
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is set through glibc's mallopt")
+def test_a_warm_training_process_faults_in_no_new_pages():
+    # backward frees a step's arrays; a heap that gave them back to the
+    # kernel would fault every page of them in again at the next batch
+    cfg = GeneratorConfig()
+    train, test = generate_dataset(cfg, 512, seed=71), generate_dataset(cfg, 256, seed=72)
+    stop = EarlyStopConfig(min_epochs=1, window=1, hard_cap=1)
+    model3 = preset_spec("model3")
+    for spec in (preset_spec("model2"), replace(model3, batch_size=32),
+                 replace(model3, batch_size=128)):
+        assert spec.batch_size in (32, 128)
+        train_instance(spec, train, test, init_seed=3, stop=stop)
+    who = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
+    before = resource.getrusage(who).ru_minflt
+    train_instance(replace(model3, batch_size=128), train, test, init_seed=4, stop=stop)
+    faults = resource.getrusage(who).ru_minflt - before
+    assert faults < 100, f"{faults} minor faults"
 
 
 def _numpy_blas_name() -> str:
