@@ -114,11 +114,10 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad over the whole graph.
 
-        self must be scalar; call sites own grad zeroing between passes.
-        The graph is released as the walk goes: once an interior node's vjp
-        has run, the node drops its vjp, parents and .grad, so the arrays its
-        closure saved are freed, and so is its forward value once nothing
-        else holds the node.  Leaves keep their .grad.  A graph is walked once.
+        self must be scalar; call sites own grad zeroing between passes.  The
+        walk releases the graph: once an interior node's vjp has run, the node
+        drops its vjp, parents and .grad, and so the arrays they hold; leaves
+        keep their .grad.  A released graph cannot be walked again.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.data.shape}")

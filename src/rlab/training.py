@@ -209,11 +209,9 @@ _one_blas_thread = _OneBlasThread()
 
 @functools.cache
 def _keep_freed_heap() -> None:
-    """Keep the arrays backward frees in this process's heap, as glibc
-    otherwise unmaps large blocks and trims the heap top at once, and the next
-    batch faults every page in again: blocks under 32 MiB come from the heap,
-    which is trimmed past 1 GiB free only.  Set once, by the first training,
-    so a process that never trains keeps glibc's policy; no-op elsewhere."""
+    """Keep what backward frees in this process's heap: glibc would unmap large
+    blocks and trim the heap top at once, and the next batch would fault every
+    page in again.  Set by the first training only; a no-op without mallopt."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
