@@ -19,6 +19,7 @@ import signal
 import subprocess
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import yaml
@@ -38,13 +39,14 @@ from .robustness import (
     HalvingPolicy,
     InstanceRunner,
     SelectionCriterion,
+    _round_losses,
     criterion_study,
     run_instances,
     sample_size_sweep,
     select_models,
     summary_statistics,
 )
-from .seeding import substream, substream_seed
+from .seeding import substream_seed, substreams
 from .training import EarlyStopConfig, train_instance
 
 EXIT_OK = 0
@@ -261,19 +263,33 @@ def _specs_from(specs: list | None = None, search_space: dict | None = None) -> 
 
 @contextlib.contextmanager
 def _mock_trainer(workers: int, *, losses: dict, noise: float = 0.0):
-    """Looks each spec's loss up by name; does no real work, so stays serial."""
+    """Looks each spec's loss up by name and adds a normal draw of scale
+    noise from the call's seed; does no real work, so stays serial.  Its
+    round draws every call's noise in one pass over the seeds, first."""
     table = _block(dict, losses, "losses")
     require_reals(noise=noise, **{f"losses[{name!r}]": v for name, v in table.items()})
+    if not 0.0 <= noise < math.inf:
+        raise ConfigError(f"mock trainer noise must be finite and >= 0, got {noise!r}")
+    for name, loss in table.items():
+        if not loss > -math.inf:        # +inf is a diverged spec
+            raise ConfigError(f"mock trainer loss for spec {name!r} must be real or +inf, "
+                              f"got {loss!r}")
+    drawn: dict[int, float] = {}        # this round's noise, by call seed
 
     def mock_trainer(spec, round_index, seed):
         if spec.name not in table:
             raise ConfigError(f"mock trainer has no loss for spec {spec.name!r}")
-        base = table[spec.name]
-        if noise == 0.0:
-            return base
-        return base + float(substream(seed).normal(0.0, noise))
+        return table[spec.name] + drawn[seed] if noise else table[spec.name]
 
-    yield mock_trainer, 1
+    def mock_round(trainer, calls):
+        if noise:
+            seeds = [seed for _, _, seed in calls]
+            drawn.clear()
+            drawn.update(zip(seeds, (rng.normal(0.0, noise)
+                                     for rng in substreams(np.array(seeds, np.uint64)))))
+        return [trainer(*call) for call in calls]
+
+    yield mock_trainer, mock_round
 
 
 @contextlib.contextmanager
@@ -327,7 +343,7 @@ def _command_trainer(workers: int, *, argv: list, timeout: float | None = None):
     with contextlib.ExitStack() as restore:     # the handler in place before, at the end
         with contextlib.suppress(ValueError):   # only the main thread may set a handler
             restore.callback(signal.signal, signal.SIGINT, signal.signal(signal.SIGINT, interrupt))
-        yield command_trainer, workers
+        yield command_trainer, partial(_round_losses, workers=workers)
 
 
 @contextlib.contextmanager
@@ -346,10 +362,11 @@ def _instances_trainer(workers: int, *, train_data: str, test_data: str,
                     stop)
             return runner.train([task])[0].final_test_loss
 
-        yield instance_trainer, workers
+        yield instance_trainer, partial(_round_losses, workers=workers)
 
 
-# trainer kind -> context manager yielding (trainer, how many of its calls may run at once)
+# trainer kind -> context manager yielding (trainer, run_round): run_round
+# makes a round's trainer calls, on up to `workers` threads where they wait
 TRAINERS = {"mock": _mock_trainer, "command": _command_trainer,
             "instances": _instances_trainer}
 
@@ -366,10 +383,10 @@ def cmd_select(out_dir: str, workers: int, *, k: int, trainer: dict,
     policy = _kind_block(POLICIES, policy, "policy", default="halving")
     # a fork pool starts all its workers at once; a round makes at most one call per spec
     with _kind_block(TRAINERS, trainer, "trainer", min(workers, len(specs))) as (
-            trainer, concurrency):
+            trainer, run_round):
         winners, ledger = select_models(specs, criterion=criterion, policy=policy,
                                         trainer=trainer, max_rounds=max_rounds,
-                                        base_seed=base_seed, workers=concurrency)
+                                        base_seed=base_seed, run_round=run_round)
     _write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
     _write_json(
         os.path.join(out_dir, "winners.json"),

@@ -252,6 +252,19 @@ class ModelSpec:
     def aux_width(self) -> int:
         return AUX_WIDTHS[self.aux]
 
+    def varied(self, name: str, optimizer: OptimizerConfig, batch_size: int) -> "ModelSpec":
+        """This spec with another name, optimizer and batch size, the fields of
+        _PER_SPEC: equal to dataclasses.replace's, but only those three are
+        checked, since the architecture already was."""
+        require_counts(batch_size=batch_size)
+        require_strings(name=name)
+        if batch_size < 1:
+            raise ContractError("batch_size must be >= 1")
+        spec = object.__new__(ModelSpec)
+        vars(spec).update(vars(self), name=name, optimizer=optimizer, batch_size=batch_size)
+        vars(spec).pop("_spec_id", None)
+        return spec
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -279,8 +292,8 @@ class ModelSpec:
         The JSON is the architecture's fragments around the encoded
         batch size, name and optimizer.  The id is computed once per
         instance and kept in its __dict__: the fields are frozen, and
-        dataclasses.replace builds a new instance through __init__, so a
-        derived spec never inherits its source's id.
+        dataclasses.replace builds a new instance through __init__ and
+        varied() drops it, so a derived spec never inherits its source's id.
         """
         sid = self.__dict__.get("_spec_id")
         if sid is None:
@@ -494,8 +507,7 @@ def enumerate_search_space(space: SearchSpace) -> list[ModelSpec]:
                     for reg in space.regularizations]     # the same at every batch size
             for bs in space.batch_sizes:
                 for reg, opt in zip(space.regularizations, opts):
-                    spec = replace(arch, optimizer=opt, batch_size=bs,
-                                   name=f"{arch.name}-lr{lr:g}-bs{bs}-reg{reg:g}")
+                    spec = arch.varied(f"{arch.name}-lr{lr:g}-bs{bs}-reg{reg:g}", opt, bs)
                     sid = spec.spec_id()
                     if sid not in seen:
                         seen.add(sid)

@@ -300,6 +300,10 @@ def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
 TrainerFn = Callable[[ModelSpec, int, int], float]
 """(spec, round_index, seed) -> final test loss.  Real training or a mock."""
 
+RoundFn = Callable[[TrainerFn, list], Sequence[float]]
+"""(trainer, a round's (spec, round_index, seed) calls) -> their losses in call
+order, from one trainer call per call, made in call order."""
+
 
 class HalvingPolicy:
     """Each round from start_round on, remove the worst half (rounded up).
@@ -373,8 +377,8 @@ class SelectionLedger:
                 "survivor_ids": list(self.survivor_ids)}
 
 
-def _round_losses(trainer: TrainerFn, calls: list[tuple], workers: int):
-    """The trainer's results for one round's (spec, round, seed) calls, in call
+def _round_losses(trainer: TrainerFn, calls: list[tuple], workers: int = 1):
+    """A RoundFn: the trainer's results for one round's calls, in call
     order.  With workers > 1 the calls run on that many threads; the first
     failure in call order is raised once the running calls have ended, and
     the calls not yet started are dropped.  On Ctrl-C the running calls are
@@ -394,7 +398,8 @@ def _round_losses(trainer: TrainerFn, calls: list[tuple], workers: int):
 
 def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
                   policy, trainer: TrainerFn,
-                  max_rounds: int = 50, base_seed: int = 0, workers: int = 1,
+                  max_rounds: int = 50, base_seed: int = 0,
+                  run_round: RoundFn = _round_losses,
                   ) -> tuple[list[ModelSpec], SelectionLedger]:
     """Tournament over specs: one new instance per survivor per round, then the
     policy removes by criterion value.
@@ -403,10 +408,11 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
     remove every survivor at once, nobody is removed, the tie flag is set, and
     the run ends with the full tied set.
 
-    With workers > 1 a round's trainer calls run on that many threads of this
-    process; their losses are collected in survivor order, so the outcome does
-    not depend on the worker count.  A failing call raises once the calls
-    before it have returned: the first failure in survivor order, as serially.
+    run_round makes a round's trainer calls, in survivor order, and returns
+    their losses in that order; by default it makes them one after another.
+    A run_round that runs them on threads (_round_losses with workers > 1)
+    leaves the outcome as it is serially, the first failure in survivor
+    order included.
     """
     require_counts(max_rounds=max_rounds)
     require_seeds(base_seed=base_seed)
@@ -428,7 +434,7 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
         # one seed per survivor, all derived in one call
         seeds = substream_seed(base_seed, words[survivors], "round", round_index).tolist()
         calls = [(specs[pos], round_index, seed) for pos, seed in zip(survivors, seeds)]
-        for pos, loss in zip(survivors, _round_losses(trainer, calls, workers)):
+        for pos, loss in zip(survivors, run_round(trainer, calls)):
             losses[pos].append(float(loss))
             ledger.instance_counts[ids[pos]] += 1
             ledger.cumulative_trainings += 1

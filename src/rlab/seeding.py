@@ -4,14 +4,16 @@ Every stochastic choice in the package draws from a substream addressed by
 (base_seed, path of words).  Substreams are independent of evaluation order,
 so parallel and serial runs consume identical randomness per unit of work.
 
-A substream is numpy's SeedSequence(entropy=base_seed, spawn_key=words).
-Plain seeds come from its hash (O'Neill's seed_seq), computed here bit for
-bit on Python ints and on uint64 arrays alike, so one call derives the seeds
-of a whole array of path words.
+A substream is the PCG64 stream that numpy seeds from a SeedSequence with
+entropy base_seed and spawn_key words.  That seeding is O'Neill's seed_seq
+hash, computed here bit for bit on Python ints and on uint64 arrays alike:
+one call derives the states of a whole array of bases or path words.  Plain
+seeds come from the same hash.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -30,6 +32,8 @@ def _word(part):
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
     if isinstance(part, np.ndarray):     # each entry as a word of its own
+        if part.dtype.kind in "iu":
+            return part.astype(np.uint64) & _MASK
         return np.fromiter(map(_word, part.tolist()), np.uint64, part.size)
     return int(part) & _MASK
 
@@ -58,13 +62,18 @@ def _absorb(pool: list, words, const: int) -> int:
     return const
 
 
-def _base_pool(base_seed: int) -> tuple[list, int]:
+def _base_pool(base_seed) -> tuple[list, int]:
     """The pool after base_seed's words, zero-padded to the pool size, and the
     hash constant after them.  Without path words numpy pads nothing, but it
-    hashes a missing word as a zero one: the pool is the same."""
-    if base_seed < 0:       # numpy: "expected non-negative integer"
+    hashes a missing word as a zero one: the pool is the same.  base_seed is
+    an int or a uint64 array, whose entries have at most two words."""
+    if isinstance(base_seed, np.ndarray):
+        words = [base_seed & _MASK, base_seed >> 32]
+    elif base_seed < 0:       # numpy: "expected non-negative integer"
         raise ContractError(f"a base seed must be a non-negative integer, got {base_seed}")
-    words = [base_seed >> shift & _MASK for shift in range(0, max(base_seed.bit_length(), 1), 32)]
+    else:
+        words = [base_seed >> shift & _MASK
+                 for shift in range(0, max(base_seed.bit_length(), 1), 32)]
     words += [0] * (POOL_SIZE - len(words))
     pool, const = [], INIT_A
     for word in words[:POOL_SIZE]:
@@ -79,25 +88,70 @@ def _base_pool(base_seed: int) -> tuple[list, int]:
     return pool, const
 
 
+def _output(base_seed, path: tuple, n_words: int) -> list:
+    """The first n_words 32-bit words of numpy's generate_state for the
+    substream; word i hashes pool word i mod the pool size."""
+    if not isinstance(base_seed, np.ndarray):
+        base_seed = int(base_seed)
+    pool, const = _base_pool(base_seed)
+    _absorb(pool, [_word(p) for p in path], const)
+    out, const = [], INIT_B
+    for i in range(n_words):
+        hashed, const = _hashmix(pool[i % POOL_SIZE], const, MULT_B)
+        out.append(hashed)
+    return out
+
+
+def _state(base_seed, *path) -> np.ndarray:
+    """numpy's generate_state(4, uint64) for the substream: the seed and
+    increment words PCG64 is built from.  Shape [..., 4], one row per entry
+    of an array base or path word."""
+    out = _output(base_seed, path, 8)
+    words = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+    if isinstance(words[0], int):
+        return np.array(words, np.uint64)
+    return np.stack(words, axis=-1)     # every pool word took in an array
+
+
+@functools.cache
+def _pcg64_from():
+    """A function from state words to a Generator over PCG64.  numpy.random
+    loads here, on first use, and not when rlab is imported."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        """Hands PCG64 its precomputed generate_state(4, uint64)."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: Generator(PCG64(StateWords(words)))
+
+
 def substream(base_seed: int, *path: int | str) -> np.random.Generator:
     """Generator for the substream addressed by `path` under `base_seed`."""
-    ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(_word(p) for p in path))
-    return np.random.default_rng(ss)
+    return _pcg64_from()(_state(base_seed, *path))
+
+
+def substreams(base_seed: int | np.ndarray, *path: int | str | np.ndarray):
+    """An iterator of the substreams of each entry of an array base (uint64)
+    or of one array path word, in entry order.  All states are derived in
+    one pass; each generator is built only when the iterator reaches it."""
+    return map(_pcg64_from(), _state(base_seed, *path))
 
 
 def substream_seed(base_seed: int, *path: int | str | np.ndarray) -> int | np.ndarray:
     """A 63-bit integer seed derived from the same addressing scheme: the
-    first uint64 of the substream's SeedSequence state, shifted right by one.
+    first uint64 of the substream's state words, shifted right by one.
 
     Used where an API wants a plain seed (e.g. per-instance init seeds that
     get recorded in reports) rather than a Generator.  One path word may be
     an array of strings: the result is then a uint64 array, one seed per
     entry.  (A numpy str array drops its entries' trailing NULs.)
     """
-    pool, const = _base_pool(int(base_seed))
-    _absorb(pool, [_word(p) for p in path], const)
-    halves, const = [], INIT_B
-    for word in pool[:2]:
-        hashed, const = _hashmix(word, const, MULT_B)
-        halves.append(hashed)
-    return (halves[0] | halves[1] << 32) >> 1
+    low, high = _output(base_seed, path, 2)
+    return (low | high << 32) >> 1

@@ -2,8 +2,8 @@
 
 Nothing in `src/rlab` or perfbench reads these: two scalar graph nodes that
 drive a backward pass, the gradient oracle, the scalar activation catalogue,
-parameter counts, unit-scale optimizer settings, whole-dataset evaluation and
-a fixed train/test split.
+parameter counts, unit-scale optimizer settings, whole-dataset evaluation, a
+fixed train/test split and the one-event shower model.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from rlab.calo import Dataset
+from rlab.calo import _COORDS, KIND_B_RATE, Dataset, GeneratorConfig
 from rlab.errors import CatalogueError, ContractError
 from rlab.nn import _INV_SQRT2, ACTIVATIONS, LEAKY_SLOPE, PRELU_INIT, Model, ModelSpec
 from rlab.optim import KINDS, OptimizerConfig
@@ -163,3 +163,49 @@ def split_fixed(dataset: Dataset, ratio: float = 0.5, seed: int = 0) -> tuple[Da
     if n_first == 0 or n_first == n:
         raise ContractError(f"split of {n} events at ratio {ratio} leaves one side empty")
     return dataset.take(perm[:n_first]), dataset.take(perm[n_first:])
+
+
+# -- one event at a time ------------------------------------------------------------
+
+
+def profile_weights(sx: float, sy: float, cfg: GeneratorConfig) -> np.ndarray:
+    # midpoint evaluation of the lateral density on cell centers, normalized
+    dx = _COORDS[None, :] - sx
+    dy = _COORDS[:, None] - sy
+    r = np.sqrt(dx * dx + dy * dy)
+    w = (cfg.core_fraction * np.exp(-r / cfg.core_width)
+         + (1.0 - cfg.core_fraction) * np.exp(-r / cfg.halo_width))
+    return w / w.sum()
+
+
+def generate_event(cfg: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
+    """One event row from the given stream, drawn and computed one value at
+    a time: the reference the blocked generate_dataset is checked against."""
+    lo, hi = cfg.energy_range
+    x = rng.uniform(-0.5, 0.5)
+    y = rng.uniform(-0.5, 0.5)
+    if cfg.dataset_kind == "A":
+        energy = rng.uniform(lo, hi)
+        theta_x = theta_y = 0.0
+    else:
+        u = rng.uniform(0.0, 1.0)
+        span = hi - lo
+        energy = lo - np.log(1.0 - u * (1.0 - np.exp(-KIND_B_RATE * span))) / KIND_B_RATE
+        amplitude = cfg.angle_bound * (1.0 - energy / hi)
+        theta_x = amplitude * rng.uniform(-1.0, 1.0)
+        theta_y = amplitude * rng.uniform(-1.0, 1.0)
+    xi = rng.normal()
+
+    sx = x + cfg.shower_depth * np.tan(theta_x)
+    sy = y + cfg.shower_depth * np.tan(theta_y)
+    weights = profile_weights(sx, sy, cfg)
+
+    sigma_rel = np.hypot(cfg.resolution_a / np.sqrt(energy), cfg.noise_b)
+    factor = 1.0 + sigma_rel * xi
+    cluster = np.maximum(0.0, cfg.containment_fraction * energy * factor * weights)
+    return np.concatenate([cluster.ravel(), [energy, x, y, theta_x, theta_y]])
+
+
+def generate_events(cfg: GeneratorConfig, n: int, seed: int) -> np.ndarray:
+    """generate_dataset's event rows [n, 230], one event at a time."""
+    return np.array([generate_event(cfg, substream(seed, "event", i)) for i in range(n)])

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
+import rlab.calo
 from rlab.calo import (
     CELLS, GRID, GeneratorConfig, bootstrap_sample, cluster_barycenter,
-    cluster_energy_sum, generate_dataset, generate_event, load_dataset,
+    cluster_energy_sum, generate_dataset, load_dataset,
     sample_size_schedule, save_dataset, subsample,
 )
-from oracles import split_fixed
+from oracles import generate_event, generate_events, split_fixed
 from rlab.errors import ContractError, DatasetFormatError, DegenerateFitError
 from rlab.seeding import substream
 
@@ -113,6 +115,11 @@ class TestDeterminism:
         assert np.array_equal(row[:CELLS], ds.clusters[3].ravel())
         assert row[CELLS] == ds.energy[3]
 
+    def test_rows_straddling_block_edges_match_the_oracle(self):
+        n = 2 * rlab.calo._BLOCK + 3
+        ds = generate_dataset(KIND_B, n, seed=2**64 + 9)
+        assert ds.events.tobytes() == generate_events(KIND_B, n, 2**64 + 9).tobytes()
+
     def test_clusters_and_truth_are_views_of_the_event_rows(self):
         ds = generate_dataset(KIND_B, 6, seed=14)
         columns = (ds.energy, ds.x, ds.y, ds.theta_x, ds.theta_y)
@@ -121,6 +128,43 @@ class TestDeterminism:
             assert np.array_equal(column, ds.events[:, CELLS + k])
         ds.clusters[2, 3, 4] = -1.0
         assert ds.events[2, 3 * GRID + 4] == -1.0
+
+
+def _configs():
+    """Generator configs over the model's ranges: kind B's wide angles and deep
+    showers, and resolution terms large enough to clip cells at 0."""
+    def build(kind, lo, width, ints, **kw):
+        hi = lo + width
+        energy_range = (int(lo) + 1, int(hi) + 2) if ints else (lo, hi)
+        return GeneratorConfig(dataset_kind=kind, energy_range=energy_range, **kw)
+
+    unit = st.floats(0.0, 1.0)
+    return st.builds(
+        build, st.sampled_from("AB"), st.floats(1e-3, 50.0), st.floats(1e-3, 1e4), st.booleans(),
+        angle_bound=st.floats(0.0, 1.55), shower_depth=st.floats(0.0, 20.0),
+        core_width=st.floats(0.05, 5.0), halo_width=st.floats(0.05, 10.0),
+        core_fraction=unit, containment_fraction=st.floats(0.01, 1.0),
+        resolution_a=st.one_of(st.floats(0.0, 0.2), st.floats(1.0, 8.0)),
+        noise_b=st.one_of(st.floats(0.0, 0.05), st.floats(0.5, 3.0)))
+
+
+class TestBlockedGenerationOracle:
+    """generate_dataset runs the shower model on blocks of events; each row must
+    hold the bytes of the same event computed alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=_configs(), n=st.one_of(st.integers(1, 40), st.integers(500, 1100)),
+           seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**64 + 2**40),
+                          st.sampled_from([2**63 - 1, 2**64 - 1, 2**64, 2**90])))
+    def test_rows_equal_the_one_event_oracle(self, cfg, n, seed):
+        rows = generate_dataset(cfg, n, seed).events
+        assert rows.tobytes() == generate_events(cfg, n, seed).tobytes()
+
+    def test_clipped_clusters_match_the_oracle(self):
+        cfg = GeneratorConfig(resolution_a=8.0, noise_b=3.0)
+        rows = generate_dataset(cfg, 200, seed=4)
+        assert (rows.clusters == 0.0).all(axis=(1, 2)).any()
+        assert rows.events.tobytes() == generate_events(cfg, 200, 4).tobytes()
 
 
 class TestSampling:

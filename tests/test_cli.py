@@ -539,6 +539,31 @@ class TestSelect:
         summary = (tmp_path / "summary.txt").read_text()
         assert "14" in summary and "40" in summary
 
+    @pytest.mark.parametrize("trainer, message", [
+        ({"noise": -0.01}, "mock trainer noise must be finite and >= 0, got -0.01"),
+        ({"noise": math.nan}, "mock trainer noise must be finite and >= 0, got nan"),
+        ({"noise": math.inf}, "mock trainer noise must be finite and >= 0, got inf"),
+        ({"losses": {"m0": 0.1, "m1": math.nan}},
+         "mock trainer loss for spec 'm1' must be real or +inf, got nan"),
+        ({"losses": {"m0": -math.inf, "m1": 0.2}},
+         "mock trainer loss for spec 'm0' must be real or +inf, got -inf"),
+    ], ids=["noise-negative", "noise-nan", "noise-inf", "loss-nan", "loss-minus-inf"])
+    def test_mock_inputs_are_checked_when_it_is_built(self, tmp_path, capsys, trainer, message):
+        body = self.mock_select_body(n_specs=2)
+        body["trainer"].update(trainer)
+        cfg = write_config(tmp_path / "s.yaml", body)
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "ledger.json").exists()
+
+    def test_mock_diverged_spec_loses(self, tmp_path):
+        body = self.mock_select_body(n_specs=2)
+        body["trainer"].update(noise=0.01, losses={"m0": math.inf, "m1": 0.2})
+        cfg = write_config(tmp_path / "s.yaml", body)
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        winners = json.loads((tmp_path / "winners.json").read_text())
+        assert [w["spec"]["name"] for w in winners] == ["m1"]
+
     def test_single_spec_immediate_winner(self, tmp_path):
         body = self.mock_select_body(n_specs=1)
         cfg = write_config(tmp_path / "s.yaml", body)
@@ -1169,7 +1194,9 @@ class TestKilledWorker:
 
 class TestTopLevel:
     def test_import_leaves_scipy_unloaded(self):
-        code = "import sys, rlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        # numpy.random too: rlab.seeding loads it on a substream's first use
+        code = ("import sys, rlab.cli; print(sorted(m for m in sys.modules "
+                "if m.startswith(('scipy', 'numpy.random'))))")
         proc = subprocess.run([sys.executable, "-c", code], env=rlab_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

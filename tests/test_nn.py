@@ -638,6 +638,41 @@ class TestSearchSpace:
         with pytest.raises(ContractError):
             enumerate_search_space(SearchSpace((), (1e-3,), (32,), (0.01,)))
 
+    def user_space(self):
+        # architectures whose ids were taken first, and an optimizer kind of each slot
+        archs = (preset_spec("model1"), preset_spec("model3"),
+                 dataclasses.replace(preset_spec("model2"), name="m2-nadam",
+                                     optimizer=OptimizerConfig("nadam", learning_rate=0.01)))
+        for arch in archs:
+            arch.spec_id()
+        return SearchSpace(archs, (1e-4, 0.03), (1, 16, 512), (0.0, 1e-2))
+
+    @pytest.mark.parametrize("space", ["energy", "position_x", "user"])
+    def test_grid_specs_equal_dataclasses_replace(self, space):
+        space = self.user_space() if space == "user" else reference_search_space(space)
+        specs = enumerate_search_space(space)
+        per_arch = len(specs) // len(space.architectures)
+        assert per_arch * len(space.architectures) == len(specs)
+        for i, spec in enumerate(specs):
+            want = dataclasses.replace(space.architectures[i // per_arch], name=spec.name,
+                                       optimizer=spec.optimizer, batch_size=spec.batch_size)
+            assert spec == want and hash(spec) == hash(want)
+            assert spec.to_dict() == want.to_dict()
+            assert spec.spec_id() == want.spec_id()
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(batch_size=0), "batch_size must be >= 1"),
+        (dict(batch_size=32.5), "batch_size takes integers only, got 32.5"),
+        (dict(batch_size=True), "batch_size takes integers only, got True"),
+        (dict(name=7), "name takes strings only, got 7"),
+    ])
+    def test_varied_checks_its_fields_as_replace_does(self, change, message):
+        arch = preset_spec("model2")
+        fields = {"name": "n", "optimizer": arch.optimizer, "batch_size": 8, **change}
+        for build in (lambda: dataclasses.replace(arch, **fields), lambda: arch.varied(**fields)):
+            with pytest.raises(ContractError, match=f"^{message}$"):
+                build()
+
     def test_every_reference_spec_is_buildable(self):
         specs = enumerate_search_space(reference_search_space())
         seen = set()

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from rlab.robustness import (
     InstanceRunner,
     RobustnessRecord,
     SelectionCriterion,
+    _round_losses,
     criterion_study,
     ecdf,
     robustness_statistic,
@@ -525,7 +527,8 @@ class TestSelection:
             return table[spec.name]
 
         winners, ledger = select_models(specs, crit("mean"), policy=HalvingPolicy(),
-                                        trainer=paired, workers=2)
+                                        trainer=paired,
+                                        run_round=partial(_round_losses, workers=2))
         assert (winners, ledger.to_record()) == (expected[0], expected[1].to_record())
         assert ledger.cumulative_trainings == 8 + 4 + 2
 
@@ -546,8 +549,8 @@ class TestSelection:
         for workers in (1, 2):
             c_failed.clear()
             with pytest.raises(ContractError, match="B failed"):
-                select_models(specs, crit("mean"), policy=HalvingPolicy(),
-                              trainer=trainer, workers=workers)
+                select_models(specs, crit("mean"), policy=HalvingPolicy(), trainer=trainer,
+                              run_round=partial(_round_losses, workers=workers))
 
     def test_validation(self):
         trainer = FixedTrainer({"A": 1.0, "B": 2.0})

@@ -1,4 +1,5 @@
-"""Plain seeds are numpy's SeedSequence hash, computed in rlab on ints and arrays."""
+"""Substream states and plain seeds are numpy's SeedSequence hash, computed in
+rlab on ints and arrays; numpy's SeedSequence is the oracle."""
 
 import zlib
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlab.seeding import substream, substream_seed
+from rlab.seeding import substream, substream_seed, substreams
 
 
 def word(part) -> int:
@@ -41,6 +42,49 @@ def test_array_word_gives_each_entry_its_seed(base_seed, before, after, entries)
     seeds = substream_seed(base_seed, *before, np.array(entries), *after)
     assert seeds.dtype == np.uint64
     assert seeds.tolist() == [numpy_seed(base_seed, *before, e, *after) for e in entries]
+
+
+def numpy_state(base_seed: int, *path) -> dict:
+    """The oracle: the state of the PCG64 numpy seeds for the same address."""
+    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=tuple(word(p) for p in path))
+    return np.random.PCG64(ss).state
+
+
+@settings(max_examples=300, deadline=None)
+@given(base_seed=BASE_SEEDS, path=st.lists(WORDS, max_size=5))
+def test_generator_state_equals_numpy(base_seed, path):
+    assert substream(base_seed, *path).bit_generator.state == numpy_state(base_seed, *path)
+
+
+ARRAY_BASES = st.lists(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1]),
+                                 st.integers(0, 2**63 - 1)), min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases=ARRAY_BASES, path=st.lists(WORDS, max_size=3))
+def test_array_base_gives_each_entry_its_state(bases, path):
+    got = [rng.bit_generator.state for rng in substreams(np.array(bases, np.uint64), *path)]
+    assert got == [numpy_state(b, *path) for b in bases]
+
+
+@settings(max_examples=150, deadline=None)
+@given(base_seed=BASE_SEEDS, before=st.lists(WORDS, max_size=2), after=st.lists(WORDS, max_size=2),
+       entries=st.one_of(
+           st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=8),
+           st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                          blacklist_characters="\x00"),
+                            max_size=6), min_size=1, max_size=8)))
+def test_array_word_gives_each_entry_its_state(base_seed, before, after, entries):
+    got = [rng.bit_generator.state
+           for rng in substreams(base_seed, *before, np.array(entries), *after)]
+    assert got == [numpy_state(base_seed, *before, e, *after) for e in entries]
+
+
+def test_substreams_are_built_as_they_are_reached():
+    streams = substreams(5, "event", np.arange(3))
+    assert not isinstance(streams, (list, tuple))
+    assert [next(streams).integers(0, 2**62) for _ in range(3)] == [
+        substream(5, "event", i).integers(0, 2**62) for i in range(3)]
 
 
 def test_pinned_seeds():
