@@ -114,22 +114,33 @@ def _state(base_seed, *path) -> np.ndarray:
 
 
 @functools.cache
-def _pcg64_from():
-    """A function from state words to a Generator over PCG64.  numpy.random
-    loads here, on first use, and not when rlab is imported."""
-    from numpy.random import PCG64, Generator
+def _state_words_type() -> type:
+    """The ISeedSequence that hands PCG64 its precomputed state words.  It is
+    defined on first use, so that importing rlab does not load numpy.random."""
     from numpy.random.bit_generator import ISeedSequence
 
     class StateWords(ISeedSequence):
-        """Hands PCG64 its precomputed generate_state(4, uint64)."""
-
         def __init__(self, words: np.ndarray):
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
+            return self.words       # PCG64 asks for its generate_state(4, uint64)
 
-    return lambda words: Generator(PCG64(StateWords(words)))
+        def __reduce__(self):       # a pickled generator names a module-level function
+            return _state_words, (self.words,)
+
+    return StateWords
+
+
+def _state_words(words: np.ndarray):
+    return _state_words_type()(words)
+
+
+@functools.cache
+def _pcg64_from():
+    """A function from state words to a Generator over PCG64."""
+    from numpy.random import PCG64, Generator
+    return lambda words: Generator(PCG64(_state_words(words)))
 
 
 def substream(base_seed: int, *path: int | str) -> np.random.Generator:

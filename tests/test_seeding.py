@@ -1,6 +1,7 @@
 """Substream states and plain seeds are numpy's SeedSequence hash, computed in
 rlab on ints and arrays; numpy's SeedSequence is the oracle."""
 
+import pickle
 import zlib
 
 import numpy as np
@@ -85,6 +86,14 @@ def test_substreams_are_built_as_they_are_reached():
     assert not isinstance(streams, (list, tuple))
     assert [next(streams).integers(0, 2**62) for _ in range(3)] == [
         substream(5, "event", i).integers(0, 2**62) for i in range(3)]
+
+
+def test_a_substream_pickles_with_its_position():
+    rng = substream(3, "x")
+    rng.integers(0, 9)
+    back = pickle.loads(pickle.dumps(rng))
+    assert back.bit_generator.state == rng.bit_generator.state
+    assert back.integers(0, 2**62, 3).tolist() == rng.integers(0, 2**62, 3).tolist()
 
 
 def test_pinned_seeds():
