@@ -18,8 +18,9 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import yaml
@@ -39,7 +40,6 @@ from .robustness import (
     HalvingPolicy,
     InstanceRunner,
     SelectionCriterion,
-    _round_losses,
     criterion_study,
     run_instances,
     sample_size_sweep,
@@ -264,8 +264,8 @@ def _specs_from(specs: list | None = None, search_space: dict | None = None) -> 
 @contextlib.contextmanager
 def _mock_trainer(workers: int, *, losses: dict, noise: float = 0.0):
     """Looks each spec's loss up by name and adds a normal draw of scale
-    noise from the call's seed; does no real work, so stays serial.  Its
-    round draws every call's noise in one pass over the seeds, first."""
+    noise from the call's seed; does no real work, so stays serial.  A
+    round derives its calls' generator states in one pass over their seeds."""
     table = _block(dict, losses, "losses")
     require_reals(noise=noise, **{f"losses[{name!r}]": v for name, v in table.items()})
     if not 0.0 <= noise < math.inf:
@@ -274,29 +274,29 @@ def _mock_trainer(workers: int, *, losses: dict, noise: float = 0.0):
         if not loss > -math.inf:        # +inf is a diverged spec
             raise ConfigError(f"mock trainer loss for spec {name!r} must be real or +inf, "
                               f"got {loss!r}")
-    drawn: dict[int, float] = {}        # this round's noise, by call seed
 
-    def mock_trainer(spec, round_index, seed):
-        if spec.name not in table:
-            raise ConfigError(f"mock trainer has no loss for spec {spec.name!r}")
-        return table[spec.name] + drawn[seed] if noise else table[spec.name]
+    def mock_round(calls):
+        rngs = substreams(np.array([seed for _, _, seed in calls], np.uint64)) if noise else ()
+        for spec, _, _ in calls:
+            if spec.name not in table:
+                raise ConfigError(f"mock trainer has no loss for spec {spec.name!r}")
+            yield table[spec.name] + next(rngs).normal(0.0, noise) if noise else table[spec.name]
 
-    def mock_round(trainer, calls):
-        if noise:
-            seeds = [seed for _, _, seed in calls]
-            drawn.clear()
-            drawn.update(zip(seeds, (rng.normal(0.0, noise)
-                                     for rng in substreams(np.array(seeds, np.uint64)))))
-        return [trainer(*call) for call in calls]
-
-    yield mock_trainer, mock_round
+    yield mock_round
 
 
 @contextlib.contextmanager
 def _command_trainer(workers: int, *, argv: list, timeout: float | None = None):
-    """Runs an external command per training, side by side; timeout: seconds per call."""
+    """Runs an external command per training, up to `workers` side by side;
+    timeout: seconds per call.  A failing call, or Ctrl-C, ends the run at
+    once: the calls not yet started are dropped and every running trainer's
+    session is killed."""
+    if not (isinstance(argv, list) and argv and {type(a) for a in argv} <= {str, int, float}):
+        raise ConfigError(f"trainer argv must be a non-empty list of strings or numbers, "
+                          f"got {argv!r}")
     argv = [str(a) for a in argv]
     running: set[int] = set()       # each trainer's session, killed whole if its call fails
+    ended = threading.Event()       # set once the run has failed
     if timeout is not None:
         require_reals(timeout=timeout)
         if not 0 < timeout < math.inf:
@@ -313,6 +313,8 @@ def _command_trainer(workers: int, *, argv: list, timeout: float | None = None):
                               stderr=subprocess.PIPE, text=True, env=env,
                               start_new_session=True) as proc:
             running.add(proc.pid)
+            if ended.is_set():      # started as the run failed: the kill below missed it
+                os.killpg(proc.pid, signal.SIGKILL)
             try:
                 stdout, stderr = proc.communicate(json.dumps(spec.to_dict()), timeout)
             except subprocess.TimeoutExpired:
@@ -334,41 +336,54 @@ def _command_trainer(workers: int, *, argv: list, timeout: float | None = None):
                                      f"{spec.name!r}: {stdout!r}")
         return loss
 
-    def interrupt(signum, frame):   # a terminal's Ctrl-C reaches rlab's group alone
+    threads = ThreadPoolExecutor(workers)       # starts its threads at the first call
+    try:
+        yield lambda calls: threads.map(command_trainer, *zip(*calls))
+    except BaseException:
+        ended.set()
+        threads.shutdown(wait=False, cancel_futures=True)
         for session in tuple(running):
             with contextlib.suppress(ProcessLookupError):
-                os.killpg(session, signum)
-        signal.default_int_handler(signum, frame)
-
-    with contextlib.ExitStack() as restore:     # the handler in place before, at the end
-        with contextlib.suppress(ValueError):   # only the main thread may set a handler
-            restore.callback(signal.signal, signal.SIGINT, signal.signal(signal.SIGINT, interrupt))
-        yield command_trainer, partial(_round_losses, workers=workers)
+                os.killpg(session, signal.SIGKILL)
+        raise
+    threads.shutdown()
 
 
 @contextlib.contextmanager
 def _instances_trainer(workers: int, *, train_data: str, test_data: str,
                        sample_size: int | None = None, stop: dict = {}):
-    """Hands each training to a worker process; its calls are threads that wait."""
+    """Hands each round's trainings to the worker processes in one call."""
     stop = _block(EarlyStopConfig, stop, "stop")
     pool, test_set = _datasets(train_data, test_data)
     size = len(pool) if sample_size is None else sample_size
     require_counts(sample_size=size)
 
     with InstanceRunner(pool, test_set, workers) as runner:
-        def instance_trainer(spec, round_index, seed):
-            _check_barycenters(spec, ((train_data, pool), (test_data, test_set)))
-            task = (spec, size, substream_seed(seed, "data"), substream_seed(seed, "init"),
-                    stop)
-            return runner.train([task])[0].final_test_loss
+        def instance_round(calls):
+            for spec, _, _ in calls:
+                _check_barycenters(spec, ((train_data, pool), (test_data, test_set)))
+            tasks = [(spec, size, substream_seed(seed, "data"), substream_seed(seed, "init"),
+                      stop) for spec, _, seed in calls]
+            return (instance.final_test_loss for instance in runner.train(tasks))
 
-        yield instance_trainer, partial(_round_losses, workers=workers)
+        yield instance_round
 
 
-# trainer kind -> context manager yielding (trainer, run_round): run_round
-# makes a round's trainer calls, on up to `workers` threads where they wait
+# trainer kind -> context manager yielding its round: a function from a
+# round's (spec, round, seed) calls to an iterator of their losses, in call order
 TRAINERS = {"mock": _mock_trainer, "command": _command_trainer,
             "instances": _instances_trainer}
+
+
+def _per_call(round_losses):
+    """select_models' (trainer, begin_round): each trainer call takes the round's next loss."""
+    losses = iter(())
+
+    def begin_round(calls):
+        nonlocal losses
+        losses = round_losses(calls)
+
+    return lambda spec, round_index, seed: next(losses), begin_round
 
 
 def cmd_select(out_dir: str, workers: int, *, k: int, trainer: dict,
@@ -382,11 +397,11 @@ def cmd_select(out_dir: str, workers: int, *, k: int, trainer: dict,
     criterion = _block(SelectionCriterion, criterion, "criterion")
     policy = _kind_block(POLICIES, policy, "policy", default="halving")
     # a fork pool starts all its workers at once; a round makes at most one call per spec
-    with _kind_block(TRAINERS, trainer, "trainer", min(workers, len(specs))) as (
-            trainer, run_round):
+    with _kind_block(TRAINERS, trainer, "trainer", min(workers, len(specs))) as round_losses:
+        trainer, begin_round = _per_call(round_losses)
         winners, ledger = select_models(specs, criterion=criterion, policy=policy,
                                         trainer=trainer, max_rounds=max_rounds,
-                                        base_seed=base_seed, run_round=run_round)
+                                        base_seed=base_seed, begin_round=begin_round)
     _write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
     _write_json(
         os.path.join(out_dir, "winners.json"),
@@ -440,16 +455,17 @@ def cmd_report(out_dir: str, workers: int, *, records: str,
     require_strings(records=records)
     criteria = [_block(SelectionCriterion, d, "criterion") for d in criteria]
     rows = []       # (spec_id, losses, summary statistics); all are checked before any output
-    with open(records) as fh:
+    with open(records, "rb") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode())
                 rows.append((str(rec["spec_id"]), rec["losses"],
                              summary_statistics(rec["losses"])))
-            except (ValueError, KeyError, TypeError) as e:     # JSON, keys or losses
-                raise DatasetFormatError(f"{records} line {number}: bad record: {e!r}") from None
+            except (ValueError, KeyError, TypeError) as e:     # UTF-8, JSON, keys or losses
+                raise DatasetFormatError(f"{records} line {number}: bad record: "
+                                         f"{type(e).__name__}: {e}") from None
     if not rows:
         raise DatasetFormatError(f"{records}: no records")
     _write_csv(

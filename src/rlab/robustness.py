@@ -10,14 +10,16 @@ training budget.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from itertools import zip_longest
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -208,7 +210,7 @@ class InstanceRunner:
     the thread pool that OpenBLAS shuts down at fork.  Leaving the `with`
     block joins and reaps them, after ending them when it leaves on an
     exception (Ctrl-C, a lost worker), and restores the caller's BLAS
-    threads.  Any number of threads may call `train` at once.
+    threads.
     """
 
     def __init__(self, pool: Dataset, test_set: Dataset, workers: int = 1):
@@ -238,20 +240,26 @@ class InstanceRunner:
             finally:
                 _one_blas_thread.__exit__()
 
-    def train(self, tasks: Sequence[tuple]) -> list[TrainedInstance]:
-        """The trained instances, in task order.  A worker that dies (killed,
-        out of memory) ends the call with WorkerLostError; nothing is retried."""
+    def train(self, tasks: Sequence[tuple]) -> Iterator[TrainedInstance]:
+        """The trained instances, in task order; with workers this call hands
+        every task out.  A worker that dies (killed, out of memory) ends the
+        iteration with WorkerLostError at the first task whose result is
+        missing; nothing is retried."""
         if self._executor is None:
-            return [_train_task(self.pool, self.test_set, *t) for t in tasks]
-        instances = []
-        try:
-            futures = [self._executor.submit(_worker_task, t) for t in tasks]
-            for future in futures:
-                instances.append(future.result())
-        except BrokenProcessPool:
+            return (_train_task(self.pool, self.test_set, *t) for t in tasks)
+        futures = []
+        with contextlib.suppress(BrokenProcessPool):    # the results name the lost task
+            futures.extend(self._executor.submit(_worker_task, t) for t in tasks)
+        return _results(tasks, futures)
+
+
+def _results(tasks: Sequence[tuple], futures: list) -> Iterator[TrainedInstance]:
+    # a task without a future was not handed out: the pool broke first
+    for task, future in zip_longest(tasks, futures):
+        if future is None or isinstance(future.exception(), BrokenProcessPool):
             raise WorkerLostError(f"a worker process died; the training of spec "
-                                  f"{tasks[len(instances)][0].name!r} was lost") from None
-        return instances
+                                  f"{task[0].name!r} was lost")
+        yield future.result()
 
 
 def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
@@ -288,9 +296,8 @@ def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
             stop,
         ))
     with InstanceRunner(pool, test_set, min(workers, k)) as runner:
-        instances = runner.train(tasks)
-    for inst in instances:
-        record.add(inst)
+        for inst in runner.train(tasks):
+            record.add(inst)
     return record
 
 
@@ -299,11 +306,6 @@ def run_instances(spec: ModelSpec, k: int, pool: Dataset, test_set: Dataset,
 
 TrainerFn = Callable[[ModelSpec, int, int], float]
 """(spec, round_index, seed) -> final test loss.  Real training or a mock."""
-
-RoundFn = Callable[[TrainerFn, list], Sequence[float]]
-"""(trainer, a round's (spec, round_index, seed) calls) -> their losses in call
-order, from one trainer call per call, made in call order."""
-
 
 class HalvingPolicy:
     """Each round from start_round on, remove the worst half (rounded up).
@@ -377,29 +379,10 @@ class SelectionLedger:
                 "survivor_ids": list(self.survivor_ids)}
 
 
-def _round_losses(trainer: TrainerFn, calls: list[tuple], workers: int = 1):
-    """A RoundFn: the trainer's results for one round's calls, in call
-    order.  With workers > 1 the calls run on that many threads; the first
-    failure in call order is raised once the running calls have ended, and
-    the calls not yet started are dropped.  On Ctrl-C the running calls are
-    not waited for: the trainer's context, left next, ends what they wait on."""
-    if workers <= 1:
-        return (trainer(*call) for call in calls)
-    threads = ThreadPoolExecutor(min(workers, len(calls)))
-    wait = True
-    try:
-        return list(threads.map(trainer, *zip(*calls)))
-    except KeyboardInterrupt:
-        wait = False
-        raise
-    finally:
-        threads.shutdown(wait=wait, cancel_futures=not wait)
-
-
 def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
                   policy, trainer: TrainerFn,
                   max_rounds: int = 50, base_seed: int = 0,
-                  run_round: RoundFn = _round_losses,
+                  begin_round: Callable[[list[tuple]], None] = lambda calls: None,
                   ) -> tuple[list[ModelSpec], SelectionLedger]:
     """Tournament over specs: one new instance per survivor per round, then the
     policy removes by criterion value.
@@ -408,11 +391,10 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
     remove every survivor at once, nobody is removed, the tie flag is set, and
     the run ends with the full tied set.
 
-    run_round makes a round's trainer calls, in survivor order, and returns
-    their losses in that order; by default it makes them one after another.
-    A run_round that runs them on threads (_round_losses with workers > 1)
-    leaves the outcome as it is serially, the first failure in survivor
-    order included.
+    Each round calls begin_round with its (spec, round_index, seed) calls in
+    survivor order, then trainer once per call, in that order; a begin_round
+    that starts the round's trainings for trainer to collect keeps the serial
+    outcome, the first failure in survivor order included.
     """
     require_counts(max_rounds=max_rounds)
     require_seeds(base_seed=base_seed)
@@ -434,8 +416,9 @@ def select_models(specs: Sequence[ModelSpec], criterion: SelectionCriterion,
         # one seed per survivor, all derived in one call
         seeds = substream_seed(base_seed, words[survivors], "round", round_index).tolist()
         calls = [(specs[pos], round_index, seed) for pos, seed in zip(survivors, seeds)]
-        for pos, loss in zip(survivors, run_round(trainer, calls)):
-            losses[pos].append(float(loss))
+        begin_round(calls)
+        for pos, call in zip(survivors, calls):
+            losses[pos].append(float(trainer(*call)))
             ledger.instance_counts[ids[pos]] += 1
             ledger.cumulative_trainings += 1
         # every survivor holds round_index losses: the round is one call

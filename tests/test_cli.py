@@ -782,7 +782,8 @@ class TestSelect:
 
     def test_command_trainer_timeout_stops_the_trainers_children(self, tmp_path, capsys):
         # sh runs sleep as its child: stopping sh alone would leave sleep running.
-        # At one worker the first spec's timeout ends the run: one trainer starts.
+        # At one worker the first spec's timeout ends the run, and the session of
+        # a trainer started after it is killed too.
         body = {
             "command": "select", "k": 2,
             "specs": [tiny_spec_dict(n) for n in "AB"],
@@ -804,7 +805,7 @@ class TestSelect:
         assert not left, "the timed-out trainer's sleep is still running"
 
     def test_command_trainer_runs_outside_the_main_thread(self, tmp_path, capsys):
-        # only the main thread may set the handler that passes a Ctrl-C on
+        # only the main thread may set a signal handler: the command trainer sets none
         body = {"command": "select", "k": 2, "specs": [tiny_spec_dict(n) for n in "AB"],
                 "trainer": {"kind": "command", "argv": ["sh", "-c", "echo 1.0"]}}
         cfg = write_config(tmp_path / "s.yaml", body)
@@ -856,6 +857,50 @@ class TestSelect:
         cfg = write_config(tmp_path / "s.yaml", body)
         assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [[], "echo 1.0", {"echo": "1.0"}, ["sh", ["-c", "true"]]],
+                             ids=["empty", "string", "mapping", "nested"])
+    def test_bad_command_trainer_argv_is_one_config_error_line(self, tmp_path, capsys, argv):
+        body = {"command": "select", "k": 2, "specs": [tiny_spec_dict(n) for n in "AB"],
+                "trainer": {"kind": "command", "argv": argv}}
+        cfg = write_config(tmp_path / "s.yaml", body)
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trainer argv ") and err.count("\n") == 1, err
+
+    def test_a_failing_command_trainer_ends_the_running_ones(self, tmp_path):
+        # a fails at once while b sleeps and c waits for a thread: rlab does not
+        # wait for b, and kills c's trainer too if it has started
+        script = 'if [ "$RLAB_SPEC_NAME" = a ]; then exit 7; fi; sleep 12.346; echo 1.0'
+        body = {"command": "select", "k": 2, "specs": [tiny_spec_dict(n) for n in "abc"],
+                "trainer": {"kind": "command", "argv": ["sh", "-c", script]}}
+        cfg = write_config(tmp_path / "s.yaml", body)
+        before = sleeping("12.346")
+        argv = [sys.executable, "-m", "rlab.cli", "select", "--config", cfg,
+                "--out", str(tmp_path / "out"), "--workers", "2"]
+        started = time.monotonic()
+        proc = subprocess.Popen(argv, env=rlab_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        err = None
+        try:
+            _, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+        finally:
+            elapsed = time.monotonic() - started
+            for _ in range(20):     # a killed process leaves /proc within moments
+                left = sleeping("12.346") - before
+                if not left:
+                    break
+                time.sleep(0.1)
+            for pid in left:
+                os.kill(pid, signal.SIGKILL)
+        assert proc.returncode == EXIT_DATA, err
+        assert err.startswith("data error: external trainer exited 7 for spec 'a'"), err
+        assert err.count("\n") == 1, err
+        assert elapsed < 5, f"select ended {elapsed:.1f} s after it started"
+        assert not left, "a trainer's sleep is still running"
 
     def test_nonpositive_k_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "s.yaml", self.mock_select_body(k=0))
@@ -1125,6 +1170,18 @@ class TestReport:
         out = tmp_path / "rep"
         assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_records_not_in_utf8_is_data_error_naming_the_line(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_bytes('{"spec_id": "x", "losses": [0.5]}\n'.encode("utf-16"))
+        cfg = write_config(tmp_path / "rep.yaml",
+                           {"command": "report", "records": str(records)})
+        out = tmp_path / "rep"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {records} line 1: bad record: UnicodeDecodeError")
+        assert err.count("\n") == 1, err
         assert os.listdir(out) == []
 
     def test_missing_records_is_data_error(self, tmp_path):

@@ -4,7 +4,7 @@ import math
 import multiprocessing
 import os
 import threading
-from functools import partial
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ import rlab.robustness
 from hypothesis import assume, given, settings, strategies as st
 
 from rlab.calo import GeneratorConfig, generate_dataset
+from rlab.cli import _per_call
 from rlab.errors import ContractError
 from rlab.nn import ModelSpec
 from rlab.optim import OptimizerConfig
@@ -23,7 +24,6 @@ from rlab.robustness import (
     InstanceRunner,
     RobustnessRecord,
     SelectionCriterion,
-    _round_losses,
     criterion_study,
     ecdf,
     robustness_statistic,
@@ -343,7 +343,7 @@ class TestRunInstances:
             for _, _, set_ in controls:
                 set_(2)
             with InstanceRunner(*pools, workers=2) as runner:
-                probes = runner.train(tasks)
+                probes = list(runner.train(tasks))
             assert len({pid for pid, _, _ in probes}) == 2
             assert [probe[1:] for probe in probes] == [(1, [1] * len(controls))] * 2
             assert [get() for _, get, _ in controls] == [2] * len(controls)
@@ -381,6 +381,75 @@ class FixedTrainer:
     def __call__(self, spec, round_index, seed):
         self.calls.append((spec.name, round_index, seed))
         return self.table[spec.name]
+
+
+def threaded_round(work, workers):
+    """A round function: each call's work runs on one of `workers` threads,
+    and once every call has ended the losses come in call order, a failed
+    call's exception at that call."""
+    def round_losses(calls):
+        with ThreadPoolExecutor(workers) as threads:
+            return threads.map(work, *zip(*calls))
+    return round_losses
+
+
+def finishing_in_turn(work, turns):
+    """A round function: each call's work runs on a thread of its own, the
+    threads finish in the order turns(number of calls) gives, and then the
+    losses are handed on in call order, a failed call's exception at that call."""
+    def round_losses(calls):
+        turn = turns(len(calls))
+        ended = [threading.Event() for _ in calls]
+        finished = []       # (call position, loss or exception), in completion order
+
+        def run(k, i):
+            if k:
+                ended[turn[k - 1]].wait(timeout=30)
+            try:
+                finished.append((i, work(*calls[i])))
+            except ContractError as e:
+                finished.append((i, e))
+            ended[i].set()
+
+        threads = [threading.Thread(target=run, args=(k, i)) for k, i in enumerate(turn)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return map(loss_or_raise, sorted(finished, key=lambda f: f[0]))
+    return round_losses
+
+
+def loss_or_raise(finished: tuple):
+    _, outcome = finished
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+@st.composite
+def tournaments(draw):
+    """(spec count, max_rounds, losses[spec][round - 1], {spec: round it
+    fails in}, policy): failures and ties are likely."""
+    n = draw(st.integers(2, 12))
+    max_rounds = draw(st.integers(1, 5))
+    losses = draw(st.lists(st.lists(LOSS, min_size=max_rounds, max_size=max_rounds),
+                           min_size=n, max_size=n))
+    fails = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, max_rounds),
+                                 max_size=3))
+    policy = draw(st.one_of(
+        st.integers(1, 3).map(HalvingPolicy),
+        st.builds(BaselineGatePolicy, st.floats(0.01, 10.0), st.floats(0.0, 1.0))))
+    return n, max_rounds, losses, fails, policy
+
+
+def selection_outcome(run) -> tuple:
+    """(winner names, ledger record), or the message of the failure raised."""
+    try:
+        winners, ledger = run()
+    except ContractError as e:
+        return str(e)
+    return [w.name for w in winners], ledger.to_record()
 
 
 class TestSelection:
@@ -526,9 +595,9 @@ class TestSelection:
             pairs.wait()
             return table[spec.name]
 
+        trainer, begin_round = _per_call(threaded_round(paired, workers=2))
         winners, ledger = select_models(specs, crit("mean"), policy=HalvingPolicy(),
-                                        trainer=paired,
-                                        run_round=partial(_round_losses, workers=2))
+                                        trainer=trainer, begin_round=begin_round)
         assert (winners, ledger.to_record()) == (expected[0], expected[1].to_record())
         assert ledger.cumulative_trainings == 8 + 4 + 2
 
@@ -548,9 +617,31 @@ class TestSelection:
 
         for workers in (1, 2):
             c_failed.clear()
+            per_call, begin_round = _per_call(threaded_round(trainer, workers))
             with pytest.raises(ContractError, match="B failed"):
-                select_models(specs, crit("mean"), policy=HalvingPolicy(), trainer=trainer,
-                              run_round=partial(_round_losses, workers=workers))
+                select_models(specs, crit("mean"), policy=HalvingPolicy(), trainer=per_call,
+                              begin_round=begin_round)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(tournaments(), criteria(), st.randoms(use_true_random=False))
+    def test_rounds_finishing_in_any_order_keep_the_serial_outcome(self, tournament,
+                                                                   criterion, rnd):
+        n, max_rounds, losses, fails, policy = tournament
+        specs = self.make_specs([f"s{i}" for i in range(n)])
+
+        def work(spec, round_index, seed):
+            i = int(spec.name[1:])
+            if fails.get(i) == round_index:
+                raise ContractError(f"{spec.name} failed in round {round_index}")
+            return losses[i][round_index - 1]
+
+        serial = selection_outcome(lambda: select_models(
+            specs, criterion, policy, trainer=work, max_rounds=max_rounds))
+        trainer, begin_round = _per_call(finishing_in_turn(
+            work, lambda calls: rnd.sample(range(calls), calls)))
+        assert selection_outcome(lambda: select_models(
+            specs, criterion, policy, trainer=trainer, max_rounds=max_rounds,
+            begin_round=begin_round)) == serial
 
     def test_validation(self):
         trainer = FixedTrainer({"A": 1.0, "B": 2.0})

@@ -60,6 +60,15 @@ def test_training_workers_are_forked_by_the_instance_runner_only(path):
         f"{path.name} starts a process pool; fork training workers through InstanceRunner")
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_threads_are_started_by_the_command_trainer_only(path):
+    # select_models collects every round on the calling thread; only the
+    # command trainer runs its external processes side by side, from threads
+    pools = 1 if path.stem == "cli" else 0
+    assert path.read_text().count("ThreadPoolExecutor(") == pools, (
+        f"{path.name} starts a thread pool; a round's trainings run where its trainer kind runs them")
+
+
 # modules whose names may wait for a caller: ROADMAP direction 6 gives
 # baselines one through the baseline_gate policy
 UNCALLED_MODULES = {"baselines"}
